@@ -16,9 +16,10 @@ moves the campaign to a different region of the seed space.  The module-level
 import time
 
 from repro import envconfig
+from repro.config import resolve_config
 from repro.campaign import CampaignConfig, run_campaign
 
-_SEED = envconfig.seed_from_env()
+_SEED = resolve_config().oracle_seed
 if _SEED is None:
     _SEED = 20220613
 _PAIRS = 16

@@ -17,16 +17,17 @@ budget.
 
 import pytest
 
-from repro import envconfig
+from repro.config import resolve_config
 from repro.core.engine import CaseJob
 from repro.oracle.suite import run_differential_suite
 from repro.reporting import full_scale_requested
 from repro.scenarios import filter_scenarios
 
-_SEED = envconfig.seed_from_env()
+_ENV = resolve_config()
+_SEED = _ENV.oracle_seed
 if _SEED is None:
     _SEED = 20220613  # PLDI 2022; any fixed value works, it just must be fixed
-_PACKETS = envconfig.oracle_packets_from_env() or 128
+_PACKETS = _ENV.oracle_packets or 128
 
 _MINI_SCENARIOS = [s.name for s in filter_scenarios(size="mini")]
 _FULL_SCENARIOS = [s.name for s in filter_scenarios(size="full")]

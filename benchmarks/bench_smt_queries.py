@@ -9,7 +9,7 @@ micro-benchmark of a single representative entailment query is also included.
 
 import time
 
-from repro import envconfig
+from repro.config import resolve_config
 from repro.core.algorithm import CheckerConfig
 from repro.core.entailment import EntailmentChecker
 from repro.core.equivalence import check_language_equivalence
@@ -29,12 +29,10 @@ from repro.smt.clauses import ClauseChannel
 # record both timing profiles as separate artifacts.  The explicit
 # on-vs-off comparisons below always measure both sides regardless of the
 # environment.
-_INCREMENTAL = envconfig.incremental_from_env()
-_PORTFOLIO = envconfig.portfolio_from_env()
-_CONFIG = CheckerConfig(
-    use_incremental=True if _INCREMENTAL is None else _INCREMENTAL,
-    use_query_cache=False,
-)
+_ENV = resolve_config()
+_INCREMENTAL = _ENV.use_incremental
+_PORTFOLIO = _ENV.portfolio
+_CONFIG = CheckerConfig(use_incremental=_INCREMENTAL, use_query_cache=False)
 
 
 def _distribution_backend():
@@ -118,9 +116,7 @@ def test_query_cache_speedup(benchmark, record_case):
 
 def test_single_entailment_query(benchmark):
     """Micro-benchmark: one 64-bit store-equality entailment check."""
-    checker = EntailmentChecker(
-        use_incremental=True if _INCREMENTAL is None else _INCREMENTAL
-    )
+    checker = EntailmentChecker(use_incremental=_INCREMENTAL)
     premise = mk_eq(CHdr(LEFT, "udp", 64), CHdr(RIGHT, "udp", 64))
     goal = mk_eq(CHdr(RIGHT, "udp", 64), CHdr(LEFT, "udp", 64))
 

@@ -14,11 +14,11 @@ whole batch to a different region of the seed space, and
 
 import time
 
-from repro import envconfig
+from repro.config import resolve_config
 from repro.core.engine import EquivalenceJob
 from repro.synth import synthesize_batch
 
-_SEED = envconfig.seed_from_env()
+_SEED = resolve_config().oracle_seed
 if _SEED is None:
     _SEED = 20220613
 _COUNT = 24

@@ -17,6 +17,7 @@ from typing import List
 import pytest
 
 from repro import envconfig
+from repro.config import resolve_config
 from repro.core.engine import EquivalenceEngine
 from repro.reporting import CaseMetrics, render_text
 
@@ -34,17 +35,13 @@ def engine() -> EquivalenceEngine:
     pipeline, and ``LEAPFROG_ORACLE``/``LEAPFROG_SEED`` cross-check every
     verdict against that many seeded concrete packets, so the same benchmark
     files measure sequential, parallel, cold, warm, ablation and oracle
-    configurations without edits.  All variables go through
-    :mod:`repro.envconfig`, so a malformed value fails the session with a
-    clear message instead of a bare ``ValueError``.
+    configurations without edits.  The checker variables are resolved into
+    the engine's overlay config (:func:`repro.config.resolve_config`), so a
+    malformed value fails the session with a clear message instead of a
+    bare ``ValueError``, and a benchmark's explicit job config still wins.
     """
     return EquivalenceEngine(
-        jobs=envconfig.jobs_from_env(),
-        cache_dir=envconfig.cache_dir_from_env(),
-        use_incremental=envconfig.incremental_from_env(),
-        use_aig=envconfig.aig_from_env(),
-        oracle_packets=envconfig.oracle_packets_from_env(),
-        oracle_seed=envconfig.seed_from_env(),
+        jobs=envconfig.jobs_from_env(), overlay=resolve_config()
     )
 
 

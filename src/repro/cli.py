@@ -33,11 +33,23 @@ daemon, with byte-identical output to the in-process path.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
 from . import __version__, envconfig
-from .core.algorithm import CheckerConfig
+from .config import (
+    CAMPAIGN_RUN,
+    CHECK,
+    SCENARIOS_RUN,
+    SYNTH_EMIT,
+    SYNTH_RUN,
+    TABLE,
+    CheckerConfig,
+    add_knob_arguments,
+    argument_type,
+    resolve_config,
+)
 from .core.equivalence import check_language_equivalence
 from .p4a.pretty import pretty
 from .p4a.surface import parse_automaton
@@ -49,47 +61,12 @@ from .reporting import case_studies, render_markdown, render_text, run_cases
 from .scenarios.registry import ScenarioLookupError
 
 
-def _jobs_argument(value: str) -> int:
-    """argparse type for ``--jobs``: a validated positive integer."""
-    try:
-        return envconfig.parse_jobs(value, source="--jobs")
-    except envconfig.EnvConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+#: Defaults of ``synth run`` and ``oracle``, which run the concrete oracle.
+_ORACLE_DEFAULTS = CheckerConfig(oracle_packets=envconfig.DEFAULT_ORACLE_PACKETS)
 
-
-def _count_argument(value: str) -> int:
-    """argparse type for ``--count``: a validated positive integer."""
-    try:
-        return envconfig.parse_jobs(value, source="--count")
-    except envconfig.EnvConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _oracle_argument(value: str) -> int:
-    """argparse type for ``--oracle-packets``: a validated non-negative count."""
-    try:
-        parsed = envconfig.parse_oracle_packets(value, source="--oracle-packets")
-    except envconfig.EnvConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return parsed if parsed is not None else 0
-
-
-def _clause_db_argument(value: str) -> int:
-    """argparse type for ``--clause-db-max``: a validated non-negative cap."""
-    try:
-        parsed = envconfig.parse_clause_db(value, source="--clause-db-max")
-    except envconfig.EnvConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return parsed if parsed is not None else 0
-
-
-def _seed_argument(value: str) -> int:
-    """argparse type for ``--seed``: a validated integer."""
-    try:
-        parsed = envconfig.parse_seed(value, source="--seed")
-    except envconfig.EnvConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return parsed if parsed is not None else 0
+_jobs_argument = argument_type(envconfig.parse_jobs, "--jobs")
+_count_argument = argument_type(envconfig.parse_jobs, "--count")
+_seed_argument = argument_type(envconfig.parse_seed, "--seed")
 
 
 def _add_server_argument(parser: argparse.ArgumentParser) -> None:
@@ -105,73 +82,8 @@ def _server_setting(args: argparse.Namespace) -> Optional[str]:
     """The daemon address from ``--server``, falling back to the environment."""
     if vars(args).get("server"):
         return args.server
-    return envconfig.server_from_env()
-
-
-def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--solver", choices=envconfig.SOLVER_CHOICES, default=None,
-        help="solver backend for entailment queries; external choices "
-             "(z3, cvc5, cvc4, boolector) must be on PATH "
-             "(default: LEAPFROG_SOLVER or the internal CDCL solver)",
-    )
-    parser.add_argument(
-        "--portfolio", action="store_true",
-        help="race the internal solver against every external solver found "
-             "on PATH, first definitive answer wins (default: "
-             "LEAPFROG_PORTFOLIO or off; excludes an external --solver)",
-    )
-    parser.add_argument(
-        "--clause-db-max", type=_clause_db_argument, default=None, metavar="N",
-        help="cap the internal CDCL solver's learned-clause database at N "
-             "clauses, periodically deleting high-LBD inactive clauses "
-             "(0 keeps every learned clause; also accepts on/off; default: "
-             f"LEAPFROG_CLAUSE_DB or {envconfig.DEFAULT_CLAUSE_DB_MAX})",
-    )
-
-
-def _solver_settings(args: argparse.Namespace):
-    """(solver, portfolio) from flags, falling back to the environment.
-
-    External solver choices are validated against PATH here, before any
-    work (or worker process) starts, so a missing binary is a clean exit 2
-    instead of a per-job error deep inside a pool.
-    """
-    from .smt.backend import BackendError, EXTERNAL_SOLVER_COMMANDS
-
-    solver = args.solver if args.solver is not None else envconfig.solver_from_env()
-    portfolio = args.portfolio or bool(envconfig.portfolio_from_env())
-    if portfolio and solver not in (None, "", "internal", "cdcl"):
-        raise BackendError(
-            "--portfolio already races every available solver; "
-            f"it cannot be combined with --solver {solver}"
-        )
-    if solver in EXTERNAL_SOLVER_COMMANDS:
-        import shutil
-
-        if not shutil.which(EXTERNAL_SOLVER_COMMANDS[solver][0]):
-            raise BackendError(f"external solver {solver!r} is not on PATH")
-    return solver, portfolio
-
-
-def _clause_db_setting(args: argparse.Namespace) -> Optional[int]:
-    """The learned-clause cap from ``--clause-db-max``, else the environment."""
-    if args.clause_db_max is not None:
-        return args.clause_db_max
-    return envconfig.clause_db_from_env()
-
-
-def _add_oracle_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--oracle-packets", type=_oracle_argument, default=None, metavar="N",
-        help="cross-check every verdict against N seeded random packets run "
-             "through both parsers concretely (default: LEAPFROG_ORACLE or off)",
-    )
-    parser.add_argument(
-        "--seed", type=_seed_argument, default=None, metavar="S",
-        help="seed for the oracle's packet/store sampler "
-             "(default: LEAPFROG_SEED or 0)",
-    )
+    server = envconfig.env_value(envconfig.SERVER_VAR, envconfig.parse_text)
+    return None if server is None else server.strip()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,34 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("right", help="path to the right parser (surface syntax)")
     check.add_argument("--left-start", required=True, help="start state of the left parser")
     check.add_argument("--right-start", required=True, help="start state of the right parser")
-    check.add_argument("--no-leaps", action="store_true", help="disable the leaps optimization")
-    check.add_argument(
-        "--no-reachability", action="store_true", help="disable reachable-pair pruning"
-    )
     check.add_argument(
         "--no-counterexample", action="store_true", help="skip the counterexample search"
     )
-    check.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the solver-query cache entirely (overrides --cache-dir)",
-    )
-    check.add_argument(
-        "--cache-dir", help="persist the solver-query cache to this directory"
-    )
-    check.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the incremental solver session (one-shot query per check)",
-    )
-    check.add_argument(
-        "--no-aig", action="store_true",
-        help="disable AIG simplification in the solver's lowering pipeline",
-    )
-    check.add_argument(
-        "--no-minimize", action="store_true",
-        help="report counterexamples as extracted, without greedy minimization",
-    )
-    _add_solver_arguments(check)
-    _add_oracle_arguments(check)
+    add_knob_arguments(check, CHECK)
     _add_server_argument(check)
 
     table = sub.add_parser("table", help="run the Table 2 case studies")
@@ -227,30 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: LEAPFROG_JOBS or 1, sequential)",
     )
     table.add_argument(
-        "--cache-dir",
-        help="directory for the persistent solver-query cache, shared by all "
-             "workers (default: LEAPFROG_CACHE_DIR)",
-    )
-    table.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
         help="per-case wall-clock limit (preemptive when --jobs > 1, "
              "after-the-fact when sequential)",
     )
-    table.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the incremental solver session in every case's checker",
-    )
-    table.add_argument(
-        "--no-aig", action="store_true",
-        help="disable AIG simplification in every case's solver pipeline",
-    )
-    table.add_argument(
-        "--share-clauses", action="store_true",
-        help="let workers exchange short learned clauses through a channel "
-             "in --cache-dir (requires --cache-dir or LEAPFROG_CACHE_DIR)",
-    )
-    _add_solver_arguments(table)
-    _add_oracle_arguments(table)
+    add_knob_arguments(table, TABLE)
     _add_server_argument(table)
 
     sub.add_parser("list", help="list the registered case studies")
@@ -300,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "scenario can then only be confirmed by the concrete oracle "
              "(--oracle-packets), and exits 2 otherwise",
     )
-    _add_oracle_arguments(scenarios_run)
+    add_knob_arguments(scenarios_run, SCENARIOS_RUN)
     _add_server_argument(scenarios_run)
 
     oracle = sub.add_parser(
@@ -316,13 +185,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--all", action="store_true", help="fuzz every registered scenario"
     )
     oracle.add_argument(
-        "--packets", type=_oracle_argument, default=None, metavar="N",
+        "--packets", dest="oracle_packets", default=None, metavar="N",
+        type=argument_type(envconfig.parse_oracle_packets, "--packets"),
         help="packets per cross-check (default: LEAPFROG_ORACLE or "
              f"{envconfig.DEFAULT_ORACLE_PACKETS})",
     )
     oracle.add_argument(
-        "--seed", type=_seed_argument, default=None, metavar="S",
-        help="sampler seed (default: LEAPFROG_SEED or 0)",
+        "--seed", dest="oracle_seed", type=_seed_argument, default=None,
+        metavar="S", help="sampler seed (default: LEAPFROG_SEED or 0)",
     )
     oracle.add_argument(
         "--report-dir", metavar="DIR",
@@ -340,14 +210,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     synth_sub = synth.add_subparsers(dest="synth_command", required=True)
 
-    def _add_synth_arguments(subparser: argparse.ArgumentParser) -> None:
+    def _add_synth_arguments(subparser: argparse.ArgumentParser,
+                             command: str) -> None:
         subparser.add_argument(
             "--count", type=_count_argument, default=20, metavar="N",
             help="number of pairs to synthesize (default: 20)",
         )
-        subparser.add_argument(
-            "--seed", type=_seed_argument, default=None, metavar="S",
-            help="base seed; pair i uses seed S+i (default: LEAPFROG_SEED or 0)",
+        # The base seed also seeds the oracle, so it is that knob's flag.
+        add_knob_arguments(
+            subparser, command, base=_ORACLE_DEFAULTS,
+            helps={"oracle_seed": "base seed; pair i uses seed S+i"},
         )
         subparser.add_argument(
             "--size", choices=("mini", "full"), default="mini",
@@ -360,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth_emit = synth_sub.add_parser(
         "emit", help="synthesize pairs and print them without checking"
     )
-    _add_synth_arguments(synth_emit)
+    _add_synth_arguments(synth_emit, SYNTH_EMIT)
     synth_emit.add_argument(
         "--pretty", action="store_true",
         help="also print both automata of every pair in surface syntax",
@@ -371,17 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="synthesize pairs, check each with the engine and compare "
              "against the ground-truth label (exit 0 when all agree)",
     )
-    _add_synth_arguments(synth_run)
+    _add_synth_arguments(synth_run, SYNTH_RUN)
     synth_run.add_argument(
         "--jobs", type=_jobs_argument, default=None, metavar="N",
         help="check pairs across N worker processes "
              "(default: LEAPFROG_JOBS or 1, sequential)",
-    )
-    synth_run.add_argument(
-        "--oracle-packets", type=_oracle_argument, default=None, metavar="N",
-        help="cross-check every verdict against N seeded concrete packets "
-             f"(default: LEAPFROG_ORACLE or {envconfig.DEFAULT_ORACLE_PACKETS}; "
-             "0 disables)",
     )
     _add_server_argument(synth_run)
 
@@ -411,10 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run only shard K of --shards (0-based; default: every shard "
              "in sequence)",
     )
-    campaign_run.add_argument(
-        "--seed", type=_seed_argument, default=None, metavar="S",
-        help="campaign base seed; pair i uses seed S+i "
-             "(default: LEAPFROG_SEED or 0)",
+    add_knob_arguments(
+        campaign_run, CAMPAIGN_RUN,
+        helps={"oracle_seed": "campaign base seed; pair i uses seed S+i"},
     )
     campaign_run.add_argument(
         "--size", choices=("mini", "full"), default="mini",
@@ -430,11 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cross-check every pair across the backend stacks (internal, "
              "AIG-off, and — when an external solver is on PATH — portfolio) "
              "in addition to the ground-truth label",
-    )
-    campaign_run.add_argument(
-        "--oracle-packets", type=_oracle_argument, default=None, metavar="N",
-        help="also replay N seeded concrete packets per verdict "
-             "(default: LEAPFROG_ORACLE or off)",
     )
     campaign_run.add_argument(
         "--chunk-size", type=_count_argument, default=None, metavar="N",
@@ -558,108 +418,51 @@ def _command_check(args: argparse.Namespace) -> int:
         left = parse_automaton(handle.read(), name=args.left)
     with open(args.right) as handle:
         right = parse_automaton(handle.read(), name=args.right)
-    cache_dir = args.cache_dir if args.cache_dir is not None else envconfig.cache_dir_from_env()
-    if args.no_incremental:
-        use_incremental = False
-    else:
-        env_incremental = envconfig.incremental_from_env()
-        use_incremental = True if env_incremental is None else env_incremental
-    if args.no_aig:
-        use_aig = False
-    else:
-        env_aig = envconfig.aig_from_env()
-        use_aig = True if env_aig is None else env_aig
-    oracle_packets, oracle_seed = _oracle_settings(args)
-    solver, portfolio = _solver_settings(args)
-    config = CheckerConfig(
-        use_leaps=not args.no_leaps,
-        use_reachability=not args.no_reachability,
-        use_query_cache=not args.no_cache,
-        cache_dir=cache_dir,
-        use_incremental=use_incremental,
-        use_aig=use_aig,
-        oracle_packets=oracle_packets or 0,
-        oracle_seed=oracle_seed,
-        minimize_counterexamples=not args.no_minimize,
-        solver=solver,
-        portfolio=portfolio,
-        clause_db_max=_clause_db_setting(args),
-    )
-    server = _server_setting(args)
-    if server is not None:
-        # Thin-client mode: the daemon solves (or replays from its verdict
-        # store); the display line below is rendered server-side from the
-        # real result, so the output is byte-identical to the local path.
-        from .service.client import ServiceClient, check_options_from_config
-
-        result = ServiceClient(server).check(
-            left, args.left_start, right, args.right_start,
-            options=check_options_from_config(
-                config, not args.no_counterexample
-            ),
-        )
-    else:
-        result = check_language_equivalence(
-            left,
-            args.left_start,
-            right,
-            args.right_start,
-            config=config,
-            find_counterexamples=not args.no_counterexample,
-        )
+    config = resolve_config(args)
+    result = _check_pair(args, config, left, args.left_start, right, args.right_start)
     print(result)
     if result.statistics.oracle:
         oracle = result.statistics.oracle
         if "packets" in oracle and oracle.get("packets"):
             print(
                 f"oracle: {oracle.get('divergences', 0)} divergences over "
-                f"{oracle['packets']} packets (seed {oracle_seed or 0})"
+                f"{oracle['packets']} packets (seed {config.oracle_seed or 0})"
             )
     if result.proved:
         return 0
     return 1 if result.refuted else 2
 
 
-def _oracle_settings(args: argparse.Namespace):
-    """(packets, seed) from flags, falling back to the environment."""
-    packets = (
-        args.oracle_packets if args.oracle_packets is not None
-        else envconfig.oracle_packets_from_env()
+def _check_pair(args: argparse.Namespace, config: CheckerConfig,
+                left, left_start: str, right, right_start: str):
+    """Check one pair in-process, or on the daemon that ``--server`` names."""
+    find_counterexamples = not args.no_counterexample
+    server = _server_setting(args)
+    if server is None:
+        return check_language_equivalence(
+            left, left_start, right, right_start, config=config,
+            find_counterexamples=find_counterexamples,
+        )
+    # Thin-client mode: the daemon solves (or replays from its verdict
+    # store); the display line is rendered server-side from the real
+    # result, so the output is byte-identical to the local path.
+    from .service.client import ServiceClient, check_options_from_config
+
+    return ServiceClient(server).check(
+        left, left_start, right, right_start,
+        options=check_options_from_config(config, find_counterexamples),
     )
-    seed = args.seed if args.seed is not None else envconfig.seed_from_env()
-    return packets, seed
 
 
 def _command_table(args: argparse.Namespace) -> int:
-    names = args.case if args.case else None
-    jobs = args.jobs if args.jobs is not None else envconfig.jobs_from_env()
-    cache_dir = args.cache_dir if args.cache_dir is not None else envconfig.cache_dir_from_env()
-    use_incremental = False if args.no_incremental else envconfig.incremental_from_env()
-    use_aig = False if args.no_aig else envconfig.aig_from_env()
-    oracle_packets, oracle_seed = _oracle_settings(args)
-    solver, portfolio = _solver_settings(args)
-    if args.share_clauses and cache_dir is None:
-        print(
-            "error: --share-clauses needs a shared directory; pass "
-            "--cache-dir or set LEAPFROG_CACHE_DIR",
-            file=sys.stderr,
-        )
-        return 2
+    config = resolve_config(args)
     metrics = run_cases(
-        names=names,
+        names=args.case if args.case else None,
         full=args.full,
-        jobs=jobs,
-        cache_dir=cache_dir,
+        config=config,
+        jobs=args.jobs if args.jobs is not None else envconfig.jobs_from_env(),
         timeout=args.timeout,
-        use_incremental=use_incremental,
-        use_aig=use_aig,
-        oracle_packets=oracle_packets,
-        oracle_seed=oracle_seed,
         server=_server_setting(args),
-        solver=solver,
-        portfolio=portfolio or None,
-        share_clauses=args.share_clauses or None,
-        clause_db_max=_clause_db_setting(args),
     )
     renderer = render_markdown if args.markdown else render_text
     print(renderer(metrics, title="Table 2 reproduction"))
@@ -676,19 +479,14 @@ def _command_oracle(args: argparse.Namespace) -> int:
         names = registry_names()
     else:
         names = mini_names()
-    packets = (
-        args.packets if args.packets is not None
-        else envconfig.oracle_packets_from_env()
-    )
-    if packets is None:
-        # Unset means the default budget; an explicit 0 is honoured (a
-        # vacuous run, but the user asked for it).
-        packets = envconfig.DEFAULT_ORACLE_PACKETS
-    seed = args.seed if args.seed is not None else envconfig.seed_from_env()
+    # Unset means the default budget; an explicit 0 is honoured (a vacuous
+    # run, but the user asked for it).
+    config = resolve_config(args, base=_ORACLE_DEFAULTS)
+    seed = config.oracle_seed or 0
     rows = run_differential_suite(
         names=names,
-        packets=packets,
-        seed=seed if seed is not None else 0,
+        packets=config.oracle_packets,
+        seed=seed,
         include_translation=not args.no_translation,
     )
     print(render_suite(rows))
@@ -700,7 +498,7 @@ def _command_oracle(args: argparse.Namespace) -> int:
         print(
             f"FAIL: {len(failing)} scenario(s) contradict their expected "
             f"verdict: {', '.join(row.scenario for row in failing)} "
-            f"(reproduce with --seed {seed or 0})"
+            f"(reproduce with --seed {seed})"
         )
         return 1
     return 0
@@ -776,26 +574,9 @@ def _command_scenarios(args: argparse.Namespace) -> int:
 def _command_scenarios_run(args: argparse.Namespace, registry) -> int:
     info = registry.get(args.name)
     left, left_start, right, right_start = info.automata()
-    oracle_packets, oracle_seed = _oracle_settings(args)
-    config = CheckerConfig(
-        oracle_packets=oracle_packets or 0,
-        oracle_seed=oracle_seed,
+    result = _check_pair(
+        args, resolve_config(args), left, left_start, right, right_start
     )
-    server = _server_setting(args)
-    if server is not None:
-        from .service.client import ServiceClient, check_options_from_config
-
-        result = ServiceClient(server).check(
-            left, left_start, right, right_start,
-            options=check_options_from_config(
-                config, not args.no_counterexample
-            ),
-        )
-    else:
-        result = check_language_equivalence(
-            left, left_start, right, right_start, config=config,
-            find_counterexamples=not args.no_counterexample,
-        )
     print(f"{info.name} [{info.family}/{info.size}] expected {info.verdict}")
     print(result)
     if result.verdict is None:
@@ -819,12 +600,12 @@ def _command_synth(args: argparse.Namespace) -> int:
 
     from .synth import config_for_size, synthesize_batch
 
-    seed = args.seed if args.seed is not None else envconfig.seed_from_env()
-    seed = seed if seed is not None else 0
+    config = resolve_config(args, base=_ORACLE_DEFAULTS)
+    seed = config.oracle_seed or 0
     pairs = synthesize_batch(args.count, seed, config=config_for_size(args.size))
     if args.synth_command == "emit":
         return _synth_emit(args, pairs, seed, json)
-    return _synth_run(args, pairs, seed, json)
+    return _synth_run(args, pairs, seed, config, json)
 
 
 def _synth_emit(args: argparse.Namespace, pairs, seed: int, json) -> int:
@@ -874,7 +655,8 @@ def _render_synth_table(pairs, observations=None) -> str:
     return render_fixed_width(tuple(headers), table)
 
 
-def _synth_run(args: argparse.Namespace, pairs, seed: int, json) -> int:
+def _synth_run(args: argparse.Namespace, pairs, seed: int,
+               config: CheckerConfig, json) -> int:
     """Check every synthesized pair against its ground-truth label.
 
     Exit codes match ``scenarios run``: 0 when every engine verdict agrees
@@ -884,19 +666,13 @@ def _synth_run(args: argparse.Namespace, pairs, seed: int, json) -> int:
     from .core.engine import EquivalenceEngine, EquivalenceJob
 
     jobs = args.jobs if args.jobs is not None else envconfig.jobs_from_env()
-    packets = (
-        args.oracle_packets if args.oracle_packets is not None
-        else envconfig.oracle_packets_from_env()
-    )
-    if packets is None:
-        packets = envconfig.DEFAULT_ORACLE_PACKETS
+    packets = config.oracle_packets
     # The oracle rides on each verdict inside the worker (a proved pair that
     # diverges concretely fails its job), so --jobs parallelizes the
     # concrete replays along with the symbolic checks.
     engine = EquivalenceEngine(
         jobs=jobs,
-        oracle_packets=packets or None,
-        oracle_seed=seed if packets else None,
+        overlay=dataclasses.replace(config, oracle_seed=seed if packets else None),
         server=_server_setting(args),
     )
     results = engine.run([
@@ -972,13 +748,14 @@ def _command_campaign(args: argparse.Namespace) -> int:
 
     from .campaign import CampaignConfig, CampaignError, run_campaign
 
-    shards = args.shards if args.shards is not None else envconfig.shards_from_env()
-    seed = args.seed if args.seed is not None else (envconfig.seed_from_env() or 0)
-    jobs = args.jobs if args.jobs is not None else envconfig.jobs_from_env()
-    packets = (
-        args.oracle_packets if args.oracle_packets is not None
-        else envconfig.oracle_packets_from_env()
+    shards = args.shards or envconfig.env_value(
+        envconfig.SHARDS_VAR, envconfig.parse_jobs
     )
+    # The backend stacks pin the solver knobs, so only the seed and the
+    # oracle budget of the resolved config reach the campaign.
+    checker = resolve_config(args)
+    seed = checker.oracle_seed or 0
+    jobs = args.jobs if args.jobs is not None else envconfig.jobs_from_env()
     try:
         config = CampaignConfig(
             pairs=args.pairs,
@@ -987,7 +764,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
             size=args.size,
             jobs=jobs,
             differential=args.differential,
-            oracle_packets=packets or 0,
+            oracle_packets=checker.oracle_packets,
             timeout=args.timeout,
             chunk_size=args.chunk_size if args.chunk_size is not None else 32,
             shard=args.shard,
@@ -1108,7 +885,9 @@ def _command_serve(args: argparse.Namespace) -> int:
             # also means warm solver queries for the replay path.
             cache_dir = os.path.join(args.store_dir, "query-cache")
         else:
-            cache_dir = envconfig.cache_dir_from_env()
+            cache_dir = envconfig.env_value(
+                envconfig.CACHE_DIR_VAR, envconfig.parse_text
+            )
     config = ServiceConfig(
         workers=workers,
         store_dir=args.store_dir,
@@ -1145,32 +924,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except envconfig.EnvConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScenarioLookupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _backend_error() as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _service_error() as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _service_error():
-    """The client's error type, imported lazily like the client itself."""
+def _input_errors():
+    """The errors that mean bad flags, variables or names (exit 2)."""
     from .service.client import ServiceError
-
-    return ServiceError
-
-
-def _backend_error():
-    """The solver stack's error type (bad --solver/--portfolio combinations)."""
     from .smt.backend import BackendError
 
-    return BackendError
+    return (envconfig.EnvConfigError, ScenarioLookupError, BackendError,
+            ServiceError)
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional
 
+from ..config import CheckerConfig
 from ..logic.confrel import FTrue, Formula, TRUE
 from ..logic.simplify import simplify_formula
 from ..p4a.bitvec import Bits
@@ -30,7 +31,7 @@ from ..p4a.typing import check_automaton
 from ..smt.backend import SolverBackend
 from ..smt.cache import make_backend
 from .certificate import Certificate
-from .entailment import EntailmentChecker, EXACT
+from .entailment import EntailmentChecker
 from .init_rels import initial_relation
 from .reachability import ReachabilityAnalysis
 from .templates import GuardedFormula, Template, TemplatePair
@@ -39,81 +40,6 @@ from .wp import wp_formula
 
 class CheckerError(Exception):
     """Raised when the checker cannot run (bad configuration, ill-typed input)."""
-
-
-@dataclass
-class CheckerConfig:
-    """Tunable behaviour of the pre-bisimulation checker.
-
-    ``use_leaps`` and ``use_reachability`` correspond to the two optimizations
-    of Section 5 and exist primarily so the ablation benchmarks can disable
-    them.  ``entailment_mode`` selects the fast or exact entailment strategy.
-
-    ``use_query_cache`` memoizes solver queries by structural fingerprint for
-    the duration of the run; ``cache_dir`` additionally persists the memo to a
-    sqlite store shared across runs and across engine workers.  Both only
-    apply when the checker builds its own backend (an explicitly supplied
-    backend is used as-is).
-
-    ``use_incremental`` routes entailment queries through one live
-    assumption-based solver session per run (premises encoded once, learned
-    clauses retained) instead of a fresh bit-blast + SAT run per query; it is
-    on by default and exists as a switch for the ablation benchmarks.
-
-    ``use_aig`` enables simplification (constant propagation, structural
-    rewriting, subsumption and graph-level query collapse) in the shared AIG
-    lowering pipeline of the internal solver; off, the same pipeline runs in
-    pure interning mode, matching the legacy encoder clause for clause.  Like
-    ``use_incremental`` it exists for the ablation benchmarks.
-
-    ``oracle_packets`` enables the differential concrete oracle: after a
-    language-equivalence verdict, that many seeded random packets are run
-    through both parsers concretely — an ``equivalent`` verdict contradicted
-    by any packet raises (fail loudly, it is a soundness bug), an ``unknown``
-    verdict contradicted by a packet is promoted to a refutation with a
-    concrete witness.  ``oracle_seed`` makes the sample reproducible
-    (``LEAPFROG_SEED``); ``minimize_counterexamples`` shrinks every extracted
-    witness by greedy leap/bit drops plus bounded symbolic re-solves before
-    it is reported.
-
-    ``solver`` selects which solver backend answers entailment queries (one
-    of :data:`repro.envconfig.SOLVER_CHOICES`; ``None`` means the internal
-    CDCL solver, honouring ``LEAPFROG_SOLVER`` only through the CLI layer).
-    ``portfolio`` instead races the internal solver against every external
-    solver found on PATH, first definitive answer wins; it cannot be
-    combined with an explicit external ``solver``.  ``share_clauses``
-    exports short learned clauses keyed by structural AIG fingerprints to a
-    channel in ``cache_dir`` so concurrent engine workers warm each other's
-    solvers; it requires ``cache_dir``.  All three only apply when the
-    checker builds its own backend.
-
-    ``clause_db_max`` caps the internal CDCL solver's learned-clause
-    database: reductions delete high-LBD inactive learned clauses once a
-    geometrically growing budget is exceeded (see
-    :mod:`repro.smt.sat.solver`).  ``None`` means the solver default (on);
-    ``0`` disables reduction and keeps every learned clause forever, the
-    pre-database behaviour kept for the ablation benchmarks.  A pure
-    performance knob: verdicts are unaffected, so it stays outside the
-    service/campaign configuration fingerprints.
-    """
-
-    use_leaps: bool = True
-    use_reachability: bool = True
-    entailment_mode: str = EXACT
-    max_iterations: int = 200_000
-    track_memory: bool = True
-    frontier_order: str = "fifo"  # or "lifo"
-    use_query_cache: bool = True
-    cache_dir: Optional[str] = None
-    use_incremental: bool = True
-    use_aig: bool = True
-    oracle_packets: int = 0
-    oracle_seed: Optional[int] = None
-    minimize_counterexamples: bool = True
-    solver: Optional[str] = None
-    portfolio: bool = False
-    share_clauses: bool = False
-    clause_db_max: Optional[int] = None
 
 
 @dataclass
@@ -199,15 +125,7 @@ class PreBisimulationChecker:
         self._owns_backend = backend is None
         if self.config.share_clauses and self.config.cache_dir is None:
             raise CheckerError("share_clauses requires cache_dir (the clause channel lives there)")
-        self.backend = backend if backend is not None else make_backend(
-            use_cache=self.config.use_query_cache,
-            cache_dir=self.config.cache_dir,
-            use_aig=self.config.use_aig,
-            solver=self.config.solver,
-            portfolio=self.config.portfolio,
-            share_dir=self.config.cache_dir if self.config.share_clauses else None,
-            clause_db_max=self.config.clause_db_max,
-        )
+        self.backend = backend if backend is not None else make_backend(self.config)
         self.entailment = EntailmentChecker(
             self.backend,
             mode=self.config.entailment_mode,

@@ -23,8 +23,9 @@ deterministic:
 With ``jobs=1`` (the default) everything runs inline in the calling process —
 no pool, no pickling — which is the baseline that parallel runs are required
 to reproduce exactly.  Workers can share solver work through the persistent
-query cache: pass ``cache_dir`` and every job's checker stacks a
-:class:`~repro.smt.cache.CachingBackend` over the same sqlite store.
+query cache: an engine ``overlay`` config with a ``cache_dir`` makes every
+job's checker stack a :class:`~repro.smt.cache.CachingBackend` over the same
+sqlite store.
 
 With ``server`` set (an address accepted by
 :func:`repro.service.client.parse_server_address`), jobs are not executed
@@ -41,7 +42,6 @@ local :class:`~repro.core.equivalence.EquivalenceResult`) and case jobs as
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import multiprocessing.connection
 import time
@@ -152,65 +152,15 @@ class EngineStatistics:
 # ---------------------------------------------------------------------------
 
 
-def _effective_config(
-    job: Job,
-    cache_dir: Optional[str],
-    use_incremental: Optional[bool] = None,
-    oracle_packets: Optional[int] = None,
-    oracle_seed: Optional[int] = None,
-    use_aig: Optional[bool] = None,
-    solver: Optional[str] = None,
-    portfolio: Optional[bool] = None,
-    share_clauses: Optional[bool] = None,
-    clause_db_max: Optional[int] = None,
-) -> Optional[CheckerConfig]:
-    config = job.config
-    if (
-        cache_dir is None and use_incremental is None
-        and oracle_packets is None and oracle_seed is None
-        and use_aig is None and solver is None
-        and portfolio is None and share_clauses is None
-        and clause_db_max is None
-    ):
-        return config
-    if config is None:
-        config = CheckerConfig()
-    if cache_dir is not None and config.cache_dir is None:
-        config = dataclasses.replace(config, cache_dir=cache_dir)
-    if use_incremental is not None and config.use_incremental != use_incremental:
-        config = dataclasses.replace(config, use_incremental=use_incremental)
-    if use_aig is not None and config.use_aig != use_aig:
-        config = dataclasses.replace(config, use_aig=use_aig)
-    if oracle_packets is not None and config.oracle_packets == 0:
-        config = dataclasses.replace(config, oracle_packets=oracle_packets)
-    if oracle_seed is not None and config.oracle_seed is None:
-        config = dataclasses.replace(config, oracle_seed=oracle_seed)
-    if solver is not None and config.solver is None:
-        config = dataclasses.replace(config, solver=solver)
-    if portfolio is not None and config.portfolio != portfolio:
-        config = dataclasses.replace(config, portfolio=portfolio)
-    if share_clauses is not None and config.share_clauses != share_clauses:
-        config = dataclasses.replace(config, share_clauses=share_clauses)
-    if clause_db_max is not None and config.clause_db_max is None:
-        config = dataclasses.replace(config, clause_db_max=clause_db_max)
-    return config
+def _effective_config(job: Job, overlay: Optional[CheckerConfig]) -> Optional[CheckerConfig]:
+    """The job's config with the engine ``overlay`` filling its default fields."""
+    if job.config is None:
+        return overlay
+    return job.config.with_defaults_from(overlay)
 
 
-def _execute_job(
-    job: Job,
-    cache_dir: Optional[str] = None,
-    use_incremental: Optional[bool] = None,
-    oracle_packets: Optional[int] = None,
-    oracle_seed: Optional[int] = None,
-    use_aig: Optional[bool] = None,
-    solver: Optional[str] = None,
-    portfolio: Optional[bool] = None,
-    share_clauses: Optional[bool] = None,
-    clause_db_max: Optional[int] = None,
-) -> object:
-    config = _effective_config(job, cache_dir, use_incremental, oracle_packets,
-                               oracle_seed, use_aig, solver, portfolio,
-                               share_clauses, clause_db_max)
+def _execute_job(job: Job, overlay: Optional[CheckerConfig] = None) -> object:
+    config = _effective_config(job, overlay)
     if isinstance(job, CaseJob):
         from ..reporting.runner import case_studies
 
@@ -234,25 +184,10 @@ def _execute_job(
     raise EngineError(f"unknown job type {type(job).__name__}")
 
 
-def _pooled_worker(
-    conn,
-    job: Job,
-    cache_dir: Optional[str],
-    use_incremental: Optional[bool],
-    oracle_packets: Optional[int] = None,
-    oracle_seed: Optional[int] = None,
-    use_aig: Optional[bool] = None,
-    solver: Optional[str] = None,
-    portfolio: Optional[bool] = None,
-    share_clauses: Optional[bool] = None,
-    clause_db_max: Optional[int] = None,
-) -> None:
+def _pooled_worker(conn, job: Job, overlay: Optional[CheckerConfig] = None) -> None:
     """Child-process entry point: run one job, ship the outcome over a pipe."""
     try:
-        payload = ("ok", _execute_job(job, cache_dir, use_incremental,
-                                      oracle_packets, oracle_seed, use_aig,
-                                      solver, portfolio, share_clauses,
-                                      clause_db_max))
+        payload = ("ok", _execute_job(job, overlay))
     except Exception as exc:  # noqa: BLE001 - report, don't crash the batch
         payload = ("error", f"{type(exc).__name__}: {exc}")
     try:
@@ -282,57 +217,32 @@ class EquivalenceEngine:
     poll still counts as ``ok``, whereas inline enforcement is strict.)
     The pooled clock includes
     worker startup (process spawn plus package import, a fraction of a
-    second), so limits should comfortably exceed that.  ``cache_dir`` threads
-    a shared persistent query cache into every job's checker configuration;
-    ``use_incremental`` (when not ``None``) overrides the incremental-session
-    toggle of every job's configuration, and ``use_aig`` likewise overrides
-    the AIG-simplification toggle.  ``oracle_packets``/``oracle_seed``
-    (when not ``None``) switch on the differential concrete oracle for every
-    job that does not already configure it — each verdict is cross-checked
-    against that many seeded random packets (see
-    :mod:`repro.oracle.differential`).
+    second), so limits should comfortably exceed that.
 
-    ``solver``/``portfolio``/``share_clauses``/``clause_db_max`` thread the
-    solver-backend selection of :class:`~repro.core.algorithm.CheckerConfig`
-    into every job that does not already configure it.  ``share_clauses``
-    combines with
-    ``cache_dir``: the clause channel lives next to the query cache, so
-    pooled workers pointed at the same directory trade learned clauses.
-    These are local execution knobs — remote (``server``) dispatch does not
-    forward them; the daemon picks its own backend.
+    ``overlay`` is a :class:`~repro.core.algorithm.CheckerConfig` laid over
+    every job's config: each of its fields fills the job's field only where
+    the job leaves it at its default, so an explicit job setting always
+    wins.  A ``cache_dir`` there shares a persistent query cache (and, with
+    clause sharing on, a learned-clause channel) between the workers.
+    Remote (``server``) dispatch forwards only the wire options
+    (:data:`repro.config.WIRE_FIELDS`); the daemon picks its own backend.
     """
 
     def __init__(
         self,
         jobs: int = 1,
-        cache_dir: Optional[str] = None,
         timeout: Optional[float] = None,
         mp_context: str = "spawn",
-        use_incremental: Optional[bool] = None,
-        oracle_packets: Optional[int] = None,
-        oracle_seed: Optional[int] = None,
         server: Optional[str] = None,
-        use_aig: Optional[bool] = None,
-        solver: Optional[str] = None,
-        portfolio: Optional[bool] = None,
-        share_clauses: Optional[bool] = None,
-        clause_db_max: Optional[int] = None,
+        overlay: Optional[CheckerConfig] = None,
     ) -> None:
         if jobs < 1:
             raise EngineError(f"worker count must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.cache_dir = cache_dir
         self.timeout = timeout
         self.mp_context = mp_context
-        self.use_incremental = use_incremental
-        self.use_aig = use_aig
-        self.oracle_packets = oracle_packets
-        self.oracle_seed = oracle_seed
         self.server = server
-        self.solver = solver
-        self.portfolio = portfolio
-        self.share_clauses = share_clauses
-        self.clause_db_max = clause_db_max
+        self.overlay = overlay
         self.statistics = EngineStatistics()
 
     # ------------------------------------------------------------------
@@ -398,10 +308,7 @@ class EquivalenceEngine:
         start = time.perf_counter()
         limit = self._job_limit(job)
         try:
-            value = _execute_job(job, self.cache_dir, self.use_incremental,
-                                 self.oracle_packets, self.oracle_seed,
-                                 self.use_aig, self.solver, self.portfolio,
-                                 self.share_clauses, self.clause_db_max)
+            value = _execute_job(job, self.overlay)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the batch
             elapsed = time.perf_counter() - start
             if limit is not None and elapsed > limit:
@@ -473,21 +380,19 @@ class EquivalenceEngine:
         return JobResult(job.label, "ok", value=value, elapsed=elapsed)
 
     def _execute_remote(self, client, job: Job) -> object:
+        from ..config import wire_options
         from ..service.client import check_options_from_config
 
-        config = _effective_config(job, None, self.use_incremental,
-                                   self.oracle_packets, self.oracle_seed,
-                                   self.use_aig)
+        config = _effective_config(job, self.overlay)
         if isinstance(job, CaseJob):
             from ..reporting.metrics import CaseMetrics
             from ..reporting.runner import CaseOutcome
 
-            options = {}
-            if config is not None:
-                if config.oracle_packets:
-                    options["oracle_packets"] = config.oracle_packets
-                if config.oracle_seed is not None:
-                    options["oracle_seed"] = config.oracle_seed
+            # A case request takes only the oracle options.
+            options = {
+                name: value for name, value in wire_options(config).items()
+                if name in ("oracle_packets", "oracle_seed")
+            }
             answer = client.case(job.case, full=job.full, options=options)
             return CaseOutcome(CaseMetrics.from_dict(answer.metrics), answer.verdict)
         if isinstance(job, EquivalenceJob):
@@ -523,10 +428,7 @@ class EquivalenceEngine:
                     receiver, sender = context.Pipe(duplex=False)
                     process = context.Process(
                         target=_pooled_worker,
-                        args=(sender, job, self.cache_dir, self.use_incremental,
-                              self.oracle_packets, self.oracle_seed,
-                              self.use_aig, self.solver, self.portfolio,
-                              self.share_clauses, self.clause_db_max),
+                        args=(sender, job, self.overlay),
                         daemon=True,
                     )
                     process.start()

@@ -24,7 +24,8 @@ from typing import Iterable, Optional
 
 from ..logic.confrel import Formula, TRUE
 from ..p4a.syntax import P4Automaton
-from ..smt.backend import InternalBackend, SolverBackend
+from ..smt.backend import SolverBackend
+from ..smt.cache import internal_backend
 from .algorithm import CheckerConfig, CheckerStatistics, PreBisimResult, PreBisimulationChecker
 from .certificate import Certificate
 from .counterexample import (
@@ -126,7 +127,7 @@ def _run(
     if find_counterexamples and require_equal_acceptance:
         search = CounterexampleSearch(
             left_aut, left_start, right_aut, right_start,
-            backend=InternalBackend(use_aig=effective.use_aig),
+            backend=internal_backend(effective),
             use_incremental=effective.use_incremental,
             statistics=search_stats,
         )

@@ -4,7 +4,8 @@
 
 * ``docs/cli.md`` — the command-line reference, rendered from the live
   argparse tree of :mod:`repro.cli` (every subcommand, option and help
-  string), so the page cannot drift from ``--help``;
+  string), so the page cannot drift from ``--help``, plus the
+  configuration-knob table rendered from :mod:`repro.config`;
 * the **scenario catalog** table in ``README.md`` — rendered from the tagged
   scenario registry (:mod:`repro.scenarios`) between the ``BEGIN/END
   GENERATED: scenario-catalog`` markers;
@@ -158,11 +159,44 @@ def render_cli_markdown() -> str:
             f"| [`{name}`](#{anchor}) | {_escape_cell(help_by_name.get(name) or '')} |"
         )
     lines.append("")
+    lines += _knob_section()
     for name, subparser in subparsers.choices.items():
         lines += _parser_section(
             subparser, f"leapfrog-repro {name}", help_by_name.get(name), 2
         )
     return "\n".join(lines).rstrip() + "\n"
+
+
+def _knob_section() -> List[str]:
+    """The configuration-knob and environment tables of the CLI reference."""
+    from .config import RUN_VARIABLES, knob_rows
+
+    lines = [
+        "## Configuration knobs",
+        "",
+        "Every checking command takes each `CheckerConfig` knob from its flag,",
+        "else its variable (a malformed one exits 2), else the default.",
+        "*Semantic* knobs are part of the verdict-store fingerprint (*wire*",
+        "ones also travel to a `serve` daemon); *perf* knobs only change speed.",
+        "",
+        "| Field | Flag | Commands | Environment | Default | Kind |",
+        "| --- | --- | --- | --- | --- | --- |",
+    ]
+    for name, flag, commands, env, default, kind in knob_rows():
+        cells = [f"`{name}`", f"`{flag}`" if flag else "",
+                 commands, f"`{env}`" if env else "", default, kind]
+        lines.append("| " + " | ".join(_escape_cell(cell) for cell in cells) + " |")
+    lines += [
+        "",
+        "Run-level environment variables:",
+        "",
+        "| Environment | Meaning |",
+        "| --- | --- |",
+    ]
+    for env, meaning in RUN_VARIABLES.items():
+        lines.append(f"| `{env}` | {_escape_cell(meaning)} |")
+    lines.append("")
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -1,85 +1,65 @@
 """Validated parsing of the ``LEAPFROG_*`` environment variables.
 
-Every entry point that reads configuration from the environment (the CLI and
-the benchmark harness) goes through these helpers, so a typo like
-``LEAPFROG_JOBS=abc`` fails with a message naming the variable and the
-accepted values instead of a bare ``ValueError`` from ``int()``, and an
-out-of-range value (``0`` worker processes) can never reach the engine.
+Every parser here names the variable (or flag) it read in its error, so a
+typo like ``LEAPFROG_JOBS=abc`` fails with the accepted values instead of a
+bare ``ValueError``, and an out-of-range value never reaches the engine.
+The checker's own variables are attached to the
+:class:`~repro.config.CheckerConfig` field they set and read by
+:func:`repro.config.resolve_config`; the run-level ones are read directly.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
+
+from .smt.backend import EXTERNAL_SOLVER_COMMANDS, INTERNAL_SOLVERS
+from .smt.sat.solver import DEFAULT_CLAUSE_DB_MAX
 
 
 class EnvConfigError(ValueError):
-    """Raised when an environment variable holds an unusable value."""
+    """Raised when an environment variable (or flag) holds an unusable value."""
 
 
-#: Worker count for the equivalence engine (≥ 1; default 1, sequential).
+#: Run-level variables (described in ``repro.config.RUN_VARIABLES``).
 JOBS_VAR = "LEAPFROG_JOBS"
-#: Default shard count for ``repro campaign run`` (≥ 1; default 1).
 SHARDS_VAR = "LEAPFROG_SHARDS"
-#: Directory for the persistent solver-query cache (unset = in-memory only).
-CACHE_DIR_VAR = "LEAPFROG_CACHE_DIR"
-#: Ablation toggle for the incremental solver session (unset = per-config default).
-INCREMENTAL_VAR = "LEAPFROG_INCREMENTAL"
-#: Ablation toggle for AIG simplification in the lowering pipeline
-#: (unset = per-config default, which is on).
-AIG_VAR = "LEAPFROG_AIG"
-#: Differential-oracle packet count per verdict; also accepts on/off
-#: (on = the default packet budget).  Unset/0/off disables the oracle.
-ORACLE_VAR = "LEAPFROG_ORACLE"
-#: Seed threaded through every random sampler (oracle, benchmarks, tests).
-SEED_VAR = "LEAPFROG_SEED"
-#: Address of a running ``repro serve`` daemon: a unix-socket path (bare or
-#: ``unix:`` prefixed) or ``http://host:port``.  When set, the CLI commands
-#: become thin clients of the daemon; unset = in-process checking.
 SERVER_VAR = "LEAPFROG_SERVER"
-#: Backend solver selection (unset = the internal CDCL stack).  Accepts the
-#: internal engines (``internal``/``cdcl``, ``dpll``/``internal-dpll``) and
-#: the external SMT solvers in :data:`EXTERNAL_SOLVERS`; anything else is a
-#: configuration error, never a silent fallback.
+FULL_VAR = "LEAPFROG_FULL"
+
+#: The checker knobs' variables (see the ``CheckerConfig`` field of each).
+CACHE_DIR_VAR = "LEAPFROG_CACHE_DIR"
+INCREMENTAL_VAR = "LEAPFROG_INCREMENTAL"
+AIG_VAR = "LEAPFROG_AIG"
+ORACLE_VAR = "LEAPFROG_ORACLE"
+SEED_VAR = "LEAPFROG_SEED"
 SOLVER_VAR = "LEAPFROG_SOLVER"
-#: Portfolio-mode toggle: race the internal solver against every external
-#: solver found on PATH, first definitive answer wins (default off).
 PORTFOLIO_VAR = "LEAPFROG_PORTFOLIO"
-#: Learned-clause database cap for the internal CDCL solver; also accepts
-#: on/off (on = the solver's default cap, off/0 = keep every learned clause).
-#: Unset = per-config default, which is the default cap.
 CLAUSE_DB_VAR = "LEAPFROG_CLAUSE_DB"
 
-#: The external SMT solvers the backend layer knows how to drive, in
-#: preference order.  ``smt.backend.EXTERNAL_SOLVER_COMMANDS`` maps each name
-#: to its command line; a test pins the two in sync.
-EXTERNAL_SOLVERS = ("z3", "cvc5", "cvc4", "boolector")
-
-#: Spellings that select the internal solver stack.
-INTERNAL_SOLVERS = ("internal", "cdcl", "dpll", "internal-dpll")
-
-#: Every value :func:`parse_solver` accepts (the CLI ``--solver`` choices).
-SOLVER_CHOICES = INTERNAL_SOLVERS + EXTERNAL_SOLVERS
+#: Every value :func:`parse_solver` accepts (the CLI ``--solver`` choices):
+#: the internal engines, then the external solvers in preference order.
+SOLVER_CHOICES = INTERNAL_SOLVERS + tuple(EXTERNAL_SOLVER_COMMANDS)
 
 #: Packet budget used when ``LEAPFROG_ORACLE`` is a bare "on"/"true".
 DEFAULT_ORACLE_PACKETS = 64
-
-#: Learned-clause cap used when ``LEAPFROG_CLAUSE_DB`` is a bare "on"/"true".
-#: Mirrors ``repro.smt.sat.solver.DEFAULT_CLAUSE_DB_MAX`` (a test pins the
-#: two in sync) — duplicated here so parsing an environment variable does not
-#: import the solver stack.
-DEFAULT_CLAUSE_DB_MAX = 4000
 
 _TRUE_VALUES = ("1", "true", "yes", "on")
 _FALSE_VALUES = ("0", "false", "no", "off")
 
 
-def parse_jobs(raw: Optional[str], source: str = JOBS_VAR) -> int:
-    """Parse a worker count: a positive integer, with ``None``/empty = 1.
+def _unset(raw: Optional[str]) -> bool:
+    return raw is None or raw.strip() == ""
 
-    ``source`` names the variable (or flag) in error messages.
-    """
-    if raw is None or raw.strip() == "":
+
+def parse_text(raw: Optional[str], source: str = "") -> Optional[str]:
+    """A free-form value (a path); ``None``/empty means "not set"."""
+    return None if _unset(raw) else raw
+
+
+def parse_jobs(raw: Optional[str], source: str = JOBS_VAR) -> int:
+    """Parse a worker count: a positive integer, with ``None``/empty = 1."""
+    if _unset(raw):
         return 1
     try:
         jobs = int(raw.strip())
@@ -92,34 +72,9 @@ def parse_jobs(raw: Optional[str], source: str = JOBS_VAR) -> int:
     return jobs
 
 
-def jobs_from_env(environ: Optional[Mapping[str, str]] = None) -> int:
-    """The engine worker count requested via ``LEAPFROG_JOBS`` (default 1)."""
-    environ = os.environ if environ is None else environ
-    return parse_jobs(environ.get(JOBS_VAR), source=JOBS_VAR)
-
-
-def shards_from_env(environ: Optional[Mapping[str, str]] = None) -> int:
-    """The campaign shard count from ``LEAPFROG_SHARDS`` (default 1).
-
-    Same grammar as ``LEAPFROG_JOBS`` — a positive integer — since a shard
-    count is a split factor, not a worker count.
-    """
-    environ = os.environ if environ is None else environ
-    return parse_jobs(environ.get(SHARDS_VAR), source=SHARDS_VAR)
-
-
-def cache_dir_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[str]:
-    """The persistent cache directory from ``LEAPFROG_CACHE_DIR`` (or ``None``)."""
-    environ = os.environ if environ is None else environ
-    value = environ.get(CACHE_DIR_VAR)
-    if value is None or value.strip() == "":
-        return None
-    return value
-
-
 def parse_flag(raw: Optional[str], source: str) -> Optional[bool]:
     """Parse a boolean toggle; ``None``/empty means "not set"."""
-    if raw is None or raw.strip() == "":
+    if _unset(raw):
         return None
     value = raw.strip().lower()
     if value in _TRUE_VALUES:
@@ -131,91 +86,38 @@ def parse_flag(raw: Optional[str], source: str) -> Optional[bool]:
     )
 
 
-def incremental_from_env(
-    environ: Optional[Mapping[str, str]] = None,
-) -> Optional[bool]:
-    """The ``LEAPFROG_INCREMENTAL`` toggle: True/False, or ``None`` when unset."""
-    environ = os.environ if environ is None else environ
-    return parse_flag(environ.get(INCREMENTAL_VAR), source=INCREMENTAL_VAR)
-
-
-def aig_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[bool]:
-    """The ``LEAPFROG_AIG`` toggle: True/False, or ``None`` when unset."""
-    environ = os.environ if environ is None else environ
-    return parse_flag(environ.get(AIG_VAR), source=AIG_VAR)
+def _parse_count(raw: Optional[str], source: str, on: int) -> Optional[int]:
+    """A non-negative integer, or a boolean word (``on`` = ``on``, ``off`` = 0)."""
+    if _unset(raw):
+        return None
+    value = raw.strip().lower()
+    if value in _TRUE_VALUES + _FALSE_VALUES:
+        return on if value in _TRUE_VALUES else 0
+    try:
+        count = int(value)
+    except ValueError:
+        raise EnvConfigError(
+            f"{source} must be a non-negative integer or one of "
+            f"{_TRUE_VALUES + _FALSE_VALUES}, got {raw!r}"
+        ) from None
+    if count < 0:
+        raise EnvConfigError(f"{source} must be >= 0, got {count}")
+    return count
 
 
 def parse_oracle_packets(raw: Optional[str], source: str = ORACLE_VAR) -> Optional[int]:
-    """Parse an oracle packet budget; ``None``/empty means "not set".
-
-    Accepts a non-negative integer (0 = oracle off) or the boolean words
-    accepted by :func:`parse_flag` (``on`` = the default budget of
-    ``DEFAULT_ORACLE_PACKETS`` packets).
-    """
-    if raw is None or raw.strip() == "":
-        return None
-    value = raw.strip().lower()
-    if value in _TRUE_VALUES:
-        return DEFAULT_ORACLE_PACKETS
-    if value in _FALSE_VALUES:
-        return 0
-    try:
-        packets = int(value)
-    except ValueError:
-        raise EnvConfigError(
-            f"{source} must be a non-negative integer or one of "
-            f"{_TRUE_VALUES + _FALSE_VALUES}, got {raw!r}"
-        ) from None
-    if packets < 0:
-        raise EnvConfigError(f"{source} must be >= 0, got {packets}")
-    return packets
-
-
-def oracle_packets_from_env(
-    environ: Optional[Mapping[str, str]] = None,
-) -> Optional[int]:
-    """The ``LEAPFROG_ORACLE`` packet budget, or ``None`` when unset."""
-    environ = os.environ if environ is None else environ
-    return parse_oracle_packets(environ.get(ORACLE_VAR), source=ORACLE_VAR)
+    """An oracle packet budget (0 = off, ``on`` = ``DEFAULT_ORACLE_PACKETS``)."""
+    return _parse_count(raw, source, DEFAULT_ORACLE_PACKETS)
 
 
 def parse_clause_db(raw: Optional[str], source: str = CLAUSE_DB_VAR) -> Optional[int]:
-    """Parse a learned-clause database cap; ``None``/empty means "not set".
-
-    Accepts a non-negative integer (0 = keep every learned clause forever) or
-    the boolean words accepted by :func:`parse_flag` (``on`` = the solver's
-    default cap of ``DEFAULT_CLAUSE_DB_MAX`` clauses, ``off`` = 0).
-    """
-    if raw is None or raw.strip() == "":
-        return None
-    value = raw.strip().lower()
-    if value in _TRUE_VALUES:
-        return DEFAULT_CLAUSE_DB_MAX
-    if value in _FALSE_VALUES:
-        return 0
-    try:
-        cap = int(value)
-    except ValueError:
-        raise EnvConfigError(
-            f"{source} must be a non-negative integer or one of "
-            f"{_TRUE_VALUES + _FALSE_VALUES}, got {raw!r}"
-        ) from None
-    if cap < 0:
-        raise EnvConfigError(f"{source} must be >= 0, got {cap}")
-    return cap
-
-
-def clause_db_from_env(
-    environ: Optional[Mapping[str, str]] = None,
-) -> Optional[int]:
-    """The ``LEAPFROG_CLAUSE_DB`` cap, or ``None`` when unset."""
-    environ = os.environ if environ is None else environ
-    return parse_clause_db(environ.get(CLAUSE_DB_VAR), source=CLAUSE_DB_VAR)
+    """A learned-clause cap (0 = keep every clause, ``on`` = the solver default)."""
+    return _parse_count(raw, source, DEFAULT_CLAUSE_DB_MAX)
 
 
 def parse_seed(raw: Optional[str], source: str = SEED_VAR) -> Optional[int]:
     """Parse a sampler seed (any integer); ``None``/empty means "not set"."""
-    if raw is None or raw.strip() == "":
+    if _unset(raw):
         return None
     try:
         return int(raw.strip())
@@ -223,46 +125,31 @@ def parse_seed(raw: Optional[str], source: str = SEED_VAR) -> Optional[int]:
         raise EnvConfigError(f"{source} must be an integer, got {raw!r}") from None
 
 
-def seed_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[int]:
-    """The ``LEAPFROG_SEED`` sampler seed, or ``None`` when unset."""
-    environ = os.environ if environ is None else environ
-    return parse_seed(environ.get(SEED_VAR), source=SEED_VAR)
-
-
 def parse_solver(raw: Optional[str], source: str = SOLVER_VAR) -> Optional[str]:
     """Parse a solver selection; ``None``/empty means "not set".
 
-    Returns the normalised (lower-cased) solver name.  An unknown name — a
-    typo like ``z33`` — is an :class:`EnvConfigError`, not a silent fallback
-    to the internal solver: whether the named solver is actually installed is
-    checked later by the backend layer, but the *name* must be one we know.
+    Returns the lower-cased name.  An unknown name (a typo like ``z33``) is
+    an error, never a silent fallback to the internal solver; whether a known
+    solver is installed is checked when the backend is selected.
     """
-    if raw is None or raw.strip() == "":
+    if _unset(raw):
         return None
     value = raw.strip().lower()
     if value in SOLVER_CHOICES:
         return value
-    raise EnvConfigError(
-        f"{source} must be one of {SOLVER_CHOICES}, got {raw!r}"
-    )
+    raise EnvConfigError(f"{source} must be one of {SOLVER_CHOICES}, got {raw!r}")
 
 
-def solver_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[str]:
-    """The ``LEAPFROG_SOLVER`` selection, or ``None`` when unset."""
+def env_value(
+    var: str,
+    parse: Callable[[Optional[str], str], object],
+    environ: Optional[Mapping[str, str]] = None,
+):
+    """``parse`` applied to variable ``var`` (``os.environ`` by default)."""
     environ = os.environ if environ is None else environ
-    return parse_solver(environ.get(SOLVER_VAR), source=SOLVER_VAR)
+    return parse(environ.get(var), var)
 
 
-def portfolio_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[bool]:
-    """The ``LEAPFROG_PORTFOLIO`` toggle: True/False, or ``None`` when unset."""
-    environ = os.environ if environ is None else environ
-    return parse_flag(environ.get(PORTFOLIO_VAR), source=PORTFOLIO_VAR)
-
-
-def server_from_env(environ: Optional[Mapping[str, str]] = None) -> Optional[str]:
-    """The ``LEAPFROG_SERVER`` daemon address, or ``None`` when unset."""
-    environ = os.environ if environ is None else environ
-    value = environ.get(SERVER_VAR)
-    if value is None or value.strip() == "":
-        return None
-    return value.strip()
+def jobs_from_env(environ: Optional[Mapping[str, str]] = None) -> int:
+    """The engine worker count requested via ``LEAPFROG_JOBS`` (default 1)."""
+    return env_value(JOBS_VAR, parse_jobs, environ)

@@ -23,6 +23,7 @@ from ..core.equivalence import (
 )
 from ..core.reachability import ReachabilityAnalysis
 from ..core.templates import Template, TemplatePair
+from ..envconfig import FULL_VAR
 from ..parsergen import compile_graph, graph_to_p4a, hardware_to_p4a, scenario
 from ..protocols import ethernet_ip, ethernet_vlan, ip_options, ip_tcp_udp, mpls
 from .metrics import CaseMetrics, attach_run_statistics, structural_metrics
@@ -50,7 +51,7 @@ class CaseStudy:
 
 def full_scale_requested() -> bool:
     """Whether the environment asks for paper-sized runs (``LEAPFROG_FULL=1``)."""
-    return os.environ.get("LEAPFROG_FULL", "0").lower() in ("1", "true", "yes")
+    return os.environ.get(FULL_VAR, "0").lower() in ("1", "true", "yes")
 
 
 def _language_equivalence_case(
@@ -245,40 +246,23 @@ def run_cases(
     full: Optional[bool] = None,
     config: Optional[CheckerConfig] = None,
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
     timeout: Optional[float] = None,
-    use_incremental: Optional[bool] = None,
-    oracle_packets: Optional[int] = None,
-    oracle_seed: Optional[int] = None,
     server: Optional[str] = None,
-    use_aig: Optional[bool] = None,
-    solver: Optional[str] = None,
-    portfolio: Optional[bool] = None,
-    share_clauses: Optional[bool] = None,
-    clause_db_max: Optional[int] = None,
 ) -> List[CaseMetrics]:
     """Run the selected case studies and return their metric rows.
 
     The run goes through the :class:`~repro.core.engine.EquivalenceEngine`:
-    ``jobs`` selects the worker count (1 = in-process, the deterministic
-    baseline), ``cache_dir`` shares a persistent solver-query cache between
-    workers and across invocations, ``timeout`` bounds each case's wall-clock
-    time, ``use_incremental`` (when not ``None``) overrides the incremental
-    solver-session toggle of every case's configuration (``use_aig``
-    likewise overrides the AIG-simplification toggle), and
-    ``oracle_packets``/``oracle_seed`` (when not ``None``) cross-check every
-    verdict against that many seeded concrete packets.  Rows come back in
-    registry order regardless of which worker finished first.
+    ``config`` is every case's checker configuration (its ``cache_dir``
+    shares a persistent solver-query cache between workers and across
+    invocations), ``jobs`` selects the worker count (1 = in-process, the
+    deterministic baseline) and ``timeout`` bounds each case's wall-clock
+    time.  Rows come back in registry order regardless of which worker
+    finished first.
 
     ``server`` (an address accepted by the service client) reroutes every
     case to a running ``repro serve`` daemon instead of local workers;
-    ``jobs`` then sizes the client fan-out and the other execution knobs
-    stay daemon-side.
-
-    ``solver``/``portfolio``/``share_clauses``/``clause_db_max`` select the
-    solver backend of every case's checker (see
-    :class:`~repro.core.algorithm.CheckerConfig`); ``share_clauses``
-    additionally needs ``cache_dir``, where the shared clause channel lives.
+    ``jobs`` then sizes the client fan-out and the backend knobs stay
+    daemon-side.
     """
     from ..core.engine import CaseJob, EquivalenceEngine
 
@@ -290,14 +274,7 @@ def run_cases(
     unknown = [name for name in names if name not in registry]
     if unknown:
         raise KeyError(f"unknown case studies: {', '.join(unknown)}")
-    engine = EquivalenceEngine(
-        jobs=jobs, cache_dir=cache_dir, timeout=timeout,
-        use_incremental=use_incremental,
-        oracle_packets=oracle_packets, oracle_seed=oracle_seed,
-        server=server, use_aig=use_aig,
-        solver=solver, portfolio=portfolio, share_clauses=share_clauses,
-        clause_db_max=clause_db_max,
-    )
+    engine = EquivalenceEngine(jobs=jobs, timeout=timeout, server=server)
     # --case is repeatable, so the same name may appear twice; suffix repeats
     # to keep engine job labels unique while preserving one row per request.
     seen: Dict[str, int] = {}

@@ -32,6 +32,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..config import wire_options
 from ..core.algorithm import CheckerStatistics
 from ..core.counterexample import Counterexample
 from ..p4a.pretty import pretty
@@ -159,25 +160,13 @@ class CaseResult:
 
 def check_options_from_config(config=None, find_counterexamples: bool = True
                               ) -> Dict[str, object]:
-    """A :class:`CheckerConfig`'s semantics-relevant fields as wire options.
+    """A :class:`CheckerConfig`'s wire fields as check options.
 
     Defaults are omitted so equivalent configurations serialize identically
-    (and hit the same verdict-store entry).  Perf-only settings — query
-    cache, incremental sessions, jobs — deliberately do not travel: they are
-    the daemon's business and excluded from the config fingerprint.
+    (and hit the same verdict-store entry).  Perf-only settings do not
+    travel: they are the daemon's business and outside the fingerprint.
     """
-    options: Dict[str, object] = {}
-    if config is not None:
-        if not config.use_leaps:
-            options["use_leaps"] = False
-        if not config.use_reachability:
-            options["use_reachability"] = False
-        if not config.minimize_counterexamples:
-            options["minimize_counterexamples"] = False
-        if config.oracle_packets:
-            options["oracle_packets"] = config.oracle_packets
-        if config.oracle_seed is not None:
-            options["oracle_seed"] = config.oracle_seed
+    options = wire_options(config)
     if not find_counterexamples:
         options["find_counterexamples"] = False
     return options

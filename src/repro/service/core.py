@@ -45,10 +45,11 @@ import itertools
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..core.algorithm import CheckerConfig, CheckerStatistics
+from ..config import WIRE_FIELDS, CheckerConfig, config_from_wire
+from ..core.algorithm import CheckerStatistics
 from ..core.certificate import verify_certificate
 from ..core.counterexample import Counterexample
 from ..core.equivalence import EquivalenceResult, check_language_equivalence
@@ -161,7 +162,7 @@ class _WorkerState:
     def __init__(self, worker_id: int, cache_dir: Optional[str],
                  memory_cache_cap: int) -> None:
         self.worker_id = worker_id
-        self.backend = make_backend(use_cache=True, cache_dir=cache_dir)
+        self.backend = make_backend(CheckerConfig(cache_dir=cache_dir))
         self.memory_cache_cap = memory_cache_cap
         self.solves = 0
         self.replays = 0
@@ -310,27 +311,14 @@ class ServiceCore:
         options = params.get("options") or {}
         if not isinstance(options, dict):
             raise ServiceRequestError("bad_request", "options must be an object")
-        known = {
-            "use_leaps", "use_reachability", "find_counterexamples",
-            "minimize_counterexamples", "oracle_packets", "oracle_seed",
-            "priority", "no_store",
+        unknown = set(options) - set(WIRE_FIELDS) - {
+            "find_counterexamples", "priority", "no_store",
         }
-        unknown = set(options) - known
         if unknown:
             raise ServiceRequestError(
                 "bad_request", f"unknown check options: {sorted(unknown)}"
             )
-        oracle_seed = options.get("oracle_seed")
-        config = CheckerConfig(
-            use_leaps=bool(options.get("use_leaps", True)),
-            use_reachability=bool(options.get("use_reachability", True)),
-            oracle_packets=int(options.get("oracle_packets") or 0),
-            oracle_seed=int(oracle_seed) if oracle_seed is not None else None,
-            minimize_counterexamples=bool(
-                options.get("minimize_counterexamples", True)
-            ),
-            cache_dir=None,
-        )
+        config = config_from_wire(options)
         find_counterexamples = bool(options.get("find_counterexamples", True))
         pair_fp = pair_fingerprint(left, left_start, right, right_start)
         config_fp = config_fingerprint(config, find_counterexamples)
@@ -546,17 +534,16 @@ class ServiceCore:
         options = params.get("options") or {}
         if not isinstance(options, dict):
             raise ServiceRequestError("bad_request", "options must be an object")
-        oracle_packets = int(options.get("oracle_packets") or 0)
-        oracle_seed = options.get("oracle_seed")
-        config = CheckerConfig(
-            cache_dir=self.config.cache_dir,
-            oracle_packets=oracle_packets,
-            oracle_seed=oracle_seed,
-        )
+        # A case request takes only the oracle options.
+        config = replace(config_from_wire({
+            "oracle_packets": options.get("oracle_packets"),
+            "oracle_seed": options.get("oracle_seed"),
+        }), cache_dir=self.config.cache_dir)
         priority = options.get("priority")
         if priority is None:
             priority = PRIORITY_FULL if full else PRIORITY_MINI
-        key = f"case/{name}/{'full' if full else 'mini'}/{oracle_packets}/{oracle_seed}"
+        key = (f"case/{name}/{'full' if full else 'mini'}/"
+               f"{config.oracle_packets}/{config.oracle_seed}")
         return _Task(
             kind="case", key=key, priority=int(priority), seq=next(self._seq),
             case_name=name, case_full=full, case_config=config,

@@ -14,11 +14,11 @@ certificate summaries, and byte-identical output on a store hit requires
 the stored certificate to carry the same names as a fresh solve would.
 
 Checker options that only change *how fast* an answer is found (query
-cache, incremental session, worker count) are deliberately excluded from
-the config digest — the ablation benchmarks assert verdict parity across
-them — while options that change *what* is reported (leaps, reachability,
-counterexample search and minimization, oracle budget and seed) are
-included.
+cache, incremental session, solver backend, worker count) are deliberately
+excluded from the config digest — the ablation benchmarks assert verdict
+parity across them — while options that change *what* is reported are
+included: the semantic fields of the knob table
+(:data:`repro.config.SEMANTIC_FIELDS`), plus the counterexample search.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from typing import Optional
 
-from ..core.algorithm import CheckerConfig
+from ..config import SEMANTIC_FIELDS, CheckerConfig
 from ..p4a.pretty import pretty
 from ..p4a.syntax import P4Automaton
 
@@ -63,18 +63,10 @@ def config_fingerprint(
 ) -> str:
     """A digest of the checker options that can change the reported result."""
     effective = config if config is not None else CheckerConfig()
-    fields = (
-        ("use_leaps", effective.use_leaps),
-        ("use_reachability", effective.use_reachability),
-        ("entailment_mode", effective.entailment_mode),
-        ("max_iterations", effective.max_iterations),
-        ("frontier_order", effective.frontier_order),
-        ("oracle_packets", effective.oracle_packets),
-        ("oracle_seed", effective.oracle_seed),
-        ("minimize_counterexamples", effective.minimize_counterexamples),
+    fields = [(name, getattr(effective, name)) for name in SEMANTIC_FIELDS] + [
         ("find_counterexamples", find_counterexamples),
         ("counterexample_max_leaps", counterexample_max_leaps),
-    )
+    ]
     payload = ";".join(f"{name}={value!r}" for name, value in fields)
     return _digest("config", payload)
 

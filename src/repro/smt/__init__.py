@@ -10,12 +10,11 @@ from .backend import (
     SolverBackend,
     SolverCapabilities,
     available_external_solvers,
-    backend_for_solver,
-    default_backend,
+    check_solver_selection,
 )
 from .bitblast import Bitblaster, BitblastResult, bitblast
 from .bvsolver import InternalBVSolver, SatResult, SatStatus, SolverStatistics
-from .cache import CacheStatistics, CachingBackend, PersistentQueryCache, make_backend
+from .cache import CacheStatistics, CachingBackend, PersistentQueryCache, internal_backend, make_backend
 from .cegis import ExistsForallResult, solve_exists_forall, substitute
 from .clauses import AigFingerprinter, ClauseChannel
 
@@ -45,9 +44,9 @@ __all__ = [
     "SolverCapabilities",
     "SolverStatistics",
     "available_external_solvers",
-    "backend_for_solver",
     "bitblast",
-    "default_backend",
+    "check_solver_selection",
+    "internal_backend",
     "make_backend",
     "solve_exists_forall",
     "substitute",

@@ -20,9 +20,9 @@ module provides the analogous abstraction as an explicitly layered stack:
   thread) against every external solver, first definitive answer wins and
   the losers are cancelled promptly.
 
-``default_backend()`` returns the internal backend unless the (validated)
-environment variable ``LEAPFROG_SOLVER`` requests another one; an unknown
-or missing solver is an error, never a silent fallback.
+:func:`repro.smt.cache.make_backend` builds the stack a
+:class:`~repro.config.CheckerConfig` selects; an unknown or missing solver
+is an error (:func:`check_solver_selection`), never a silent fallback.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import envconfig
 from ..logic import folbv, smtlib
 from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
@@ -232,9 +231,12 @@ class InternalBackend(SolverBackend):
             channel.close()
 
 
-#: Known external solvers and the command lines that make them read SMT-LIB
-#: from a file argument.  The key set mirrors ``envconfig.EXTERNAL_SOLVERS``
-#: (the validated ``LEAPFROG_SOLVER`` vocabulary); a test pins them in sync.
+#: Spellings of ``--solver``/``LEAPFROG_SOLVER`` that select the internal
+#: solver: the CDCL engine, then the DPLL engine.
+INTERNAL_SOLVERS = ("internal", "cdcl", "dpll", "internal-dpll")
+
+#: Known external solvers, in preference order, and the command lines that
+#: make them read SMT-LIB from a file argument.
 EXTERNAL_SOLVER_COMMANDS: Dict[str, Sequence[str]] = {
     "z3": ("z3", "-smt2"),
     "cvc5": ("cvc5", "--lang", "smt2", "--produce-models"),
@@ -602,42 +604,18 @@ class PortfolioBackend(SolverBackend):
         return None if self._internal is None else self._internal.internal_solver
 
 
-def backend_for_solver(
-    choice: Optional[str],
-    use_aig: bool = True,
-    validate_models: bool = True,
-    clause_channel=None,
-    clause_db_max: Optional[int] = None,
-) -> SolverBackend:
-    """The backend for a validated ``--solver``/``LEAPFROG_SOLVER`` choice.
+def check_solver_selection(solver: Optional[str], portfolio: bool) -> None:
+    """Reject a solver selection that cannot be built, before any work starts.
 
-    ``None`` (unset) and the internal spellings yield the built-in solver;
-    an external name yields an :class:`ExternalBackend` and raises
-    :class:`BackendError` when that solver is not installed — selection
-    errors must surface, not silently degrade to a different prover.
+    A portfolio already races every available solver, so it excludes an
+    external ``solver``; an external solver must be on ``PATH``.
     """
-    if choice in (None, "", "internal", "cdcl"):
-        return InternalBackend(
-            validate_models=validate_models,
-            use_aig=use_aig,
-            clause_channel=clause_channel,
-            clause_db_max=clause_db_max,
+    if portfolio and solver not in (None, "internal", "cdcl"):
+        raise BackendError(
+            "--portfolio already races every available solver; "
+            f"it cannot be combined with --solver {solver}"
         )
-    if choice in ("dpll", "internal-dpll"):
-        return InternalBackend(engine="dpll", validate_models=validate_models)
-    return ExternalBackend(choice)
-
-
-def default_backend() -> SolverBackend:
-    """Pick a backend from the (validated) ``LEAPFROG_SOLVER`` variable.
-
-    An unknown solver name raises :class:`repro.envconfig.EnvConfigError`
-    and a known-but-not-installed solver raises :class:`BackendError`; both
-    map to CLI exit code 2.
-    """
-    clause_db_max = envconfig.clause_db_from_env()
-    if envconfig.portfolio_from_env():
-        return PortfolioBackend(clause_db_max=clause_db_max)
-    return backend_for_solver(
-        envconfig.solver_from_env(), clause_db_max=clause_db_max
-    )
+    if solver in EXTERNAL_SOLVER_COMMANDS and not shutil.which(
+        EXTERNAL_SOLVER_COMMANDS[solver][0]
+    ):
+        raise BackendError(f"external solver {solver!r} is not on PATH")

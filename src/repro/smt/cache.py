@@ -27,20 +27,25 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..logic.fingerprint import FINGERPRINT_VERSION, folbv_fingerprint
 from ..logic.folbv import BFormula
 from ..p4a.bitvec import Bits
 from .backend import (
+    EXTERNAL_SOLVER_COMMANDS,
     BackendMiddleware,
+    ExternalBackend,
     InternalBackend,
     PortfolioBackend,
     SolverBackend,
     SolverCapabilities,
-    backend_for_solver,
+    check_solver_selection,
 )
 from .bvsolver import InternalBVSolver, SatResult, SatStatus
+
+if TYPE_CHECKING:
+    from ..config import CheckerConfig
 
 
 @dataclass
@@ -305,56 +310,44 @@ class CachingBackend(BackendMiddleware):
         self.inner.close()
 
 
-def make_backend(
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    inner: Optional[SolverBackend] = None,
-    use_aig: bool = True,
-    solver: Optional[str] = None,
-    portfolio: bool = False,
-    share_dir: Optional[str] = None,
-    clause_db_max: Optional[int] = None,
-) -> SolverBackend:
-    """Build the standard backend stack, innermost layer first.
+def internal_backend(
+    config: "CheckerConfig", engine: str = "cdcl", clause_channel=None
+) -> InternalBackend:
+    """The built-in solver with ``config``'s AIG and learned-clause knobs."""
+    return InternalBackend(
+        engine=engine,
+        use_aig=config.use_aig,
+        clause_channel=clause_channel,
+        clause_db_max=config.clause_db_max,
+    )
 
-    * the base lane comes from ``portfolio`` (a :class:`PortfolioBackend`
-      racing the internal solver against every external solver on PATH) or
-      ``solver`` (a validated ``--solver``/``LEAPFROG_SOLVER`` choice;
-      default the internal solver) — the two are mutually exclusive since a
-      portfolio already contains every lane;
-    * ``share_dir`` attaches a cross-worker learned-clause channel
-      (:mod:`repro.smt.clauses`) to the internal solver's incremental
-      sessions;
-    * ``use_cache`` wraps the lane in :class:`CachingBackend`.
-      ``use_cache=False`` wins: it disables both cache layers even when a
-      ``cache_dir`` is supplied, so an explicit opt-out is never overridden.
 
-    ``use_aig`` selects AIG simplification in the internal solver's lowering
-    pipeline, and ``clause_db_max`` caps its learned-clause database
-    (``None`` = the solver default, ``0`` = keep everything).  All lane
-    options are ignored when an explicit ``inner`` backend is supplied.
+def make_backend(config: "CheckerConfig") -> SolverBackend:
+    """Build the backend stack ``config`` selects, innermost layer first.
+
+    The base lane is a :class:`PortfolioBackend` racing the internal solver
+    against every external solver on PATH (``portfolio``), the external
+    ``solver``, or the internal one (:func:`internal_backend`), which
+    ``share_clauses`` connects to a learned-clause channel in ``cache_dir``
+    (:mod:`repro.smt.clauses`).  ``use_query_cache`` wraps the lane in a
+    :class:`CachingBackend`, persistent when ``cache_dir`` is set; off, it
+    disables both cache layers even when a ``cache_dir`` is supplied.
     """
-    if inner is not None:
-        backend = inner
-    elif portfolio:
-        if solver not in (None, "", "internal", "cdcl"):
-            from .backend import BackendError
-
-            raise BackendError(
-                "--portfolio already races every available solver; "
-                f"it cannot be combined with --solver {solver}"
-            )
-        backend = PortfolioBackend(use_aig=use_aig, clause_db_max=clause_db_max)
+    check_solver_selection(config.solver, config.portfolio)
+    if config.portfolio:
+        backend: SolverBackend = PortfolioBackend(
+            use_aig=config.use_aig, clause_db_max=config.clause_db_max
+        )
+    elif config.solver in EXTERNAL_SOLVER_COMMANDS:
+        backend = ExternalBackend(config.solver)
     else:
         channel = None
-        if share_dir is not None:
+        if config.share_clauses and config.cache_dir is not None:
             from .clauses import ClauseChannel
 
-            channel = ClauseChannel(share_dir)
-        backend = backend_for_solver(
-            solver, use_aig=use_aig, clause_channel=channel,
-            clause_db_max=clause_db_max,
-        )
-    if use_cache:
-        return CachingBackend(backend, cache_dir=cache_dir)
+            channel = ClauseChannel(config.cache_dir)
+        engine = "dpll" if config.solver in ("dpll", "internal-dpll") else "cdcl"
+        backend = internal_backend(config, engine=engine, clause_channel=channel)
+    if config.use_query_cache:
+        return CachingBackend(backend, cache_dir=config.cache_dir)
     return backend

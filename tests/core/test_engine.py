@@ -1,5 +1,6 @@
 """Tests for the job-based parallel equivalence engine."""
 
+import dataclasses
 import warnings
 
 import pytest
@@ -186,9 +187,9 @@ class TestParallelEngine:
     def test_parallel_shares_persistent_cache(self, tmp_path):
         jobs = _tiny_jobs()
         cache_dir = str(tmp_path / "cache")
-        warm = EquivalenceEngine(jobs=1, cache_dir=cache_dir)
+        warm = EquivalenceEngine(jobs=1, overlay=CheckerConfig(cache_dir=cache_dir))
         warm_results = warm.run(jobs)
-        parallel = EquivalenceEngine(jobs=2, cache_dir=cache_dir)
+        parallel = EquivalenceEngine(jobs=2, overlay=CheckerConfig(cache_dir=cache_dir))
         parallel_results = parallel.run(jobs)
         assert _comparable(parallel_results) == _comparable(warm_results)
         # Workers answered at least one solver query from the shared store.
@@ -239,7 +240,7 @@ class TestParallelEngine:
 class TestConfigPlumbing:
     def test_engine_cache_dir_threaded_into_job_config(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        engine = EquivalenceEngine(jobs=1, cache_dir=cache_dir)
+        engine = EquivalenceEngine(jobs=1, overlay=CheckerConfig(cache_dir=cache_dir))
         [result] = engine.run([
             EquivalenceJob(
                 tiny.incremental_bits_checked(), "Start", tiny.big_bits_checked(), "Parse",
@@ -253,7 +254,7 @@ class TestConfigPlumbing:
         mine = str(tmp_path / "mine")
         engine_dir = str(tmp_path / "engine")
         config = CheckerConfig(cache_dir=mine)
-        engine = EquivalenceEngine(jobs=1, cache_dir=engine_dir)
+        engine = EquivalenceEngine(jobs=1, overlay=CheckerConfig(cache_dir=engine_dir))
         [result] = engine.run([
             EquivalenceJob(
                 tiny.incremental_bits_checked(), "Start", tiny.big_bits_checked(), "Parse",
@@ -273,15 +274,18 @@ class TestConfigPlumbing:
             tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse",
             config=CheckerConfig(use_incremental=True), job_id="inc",
         )
-        assert _effective_config(job, None, use_incremental=False).use_incremental is False
-        assert _effective_config(job, None, use_incremental=None).use_incremental is True
+        off = CheckerConfig(use_incremental=False)
+        assert _effective_config(job, off).use_incremental is False
+        assert _effective_config(job, None).use_incremental is True
         bare = EquivalenceJob(
             tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse", job_id="bare"
         )
-        config = _effective_config(bare, "/tmp/engine-cache", use_incremental=False)
+        config = _effective_config(
+            bare, CheckerConfig(cache_dir="/tmp/engine-cache", use_incremental=False)
+        )
         assert config.use_incremental is False
         assert config.cache_dir == "/tmp/engine-cache"
-        assert _effective_config(bare, None, None) is None
+        assert _effective_config(bare, None) is None
 
     def test_engine_oracle_override(self):
         from repro.core.engine import _effective_config
@@ -289,7 +293,8 @@ class TestConfigPlumbing:
         bare = EquivalenceJob(
             tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse", job_id="bare"
         )
-        config = _effective_config(bare, None, oracle_packets=40, oracle_seed=9)
+        overlay = CheckerConfig(oracle_packets=40, oracle_seed=9)
+        config = _effective_config(bare, overlay)
         assert config.oracle_packets == 40
         assert config.oracle_seed == 9
         # An explicit job config keeps its own oracle settings.
@@ -297,12 +302,53 @@ class TestConfigPlumbing:
             tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse",
             config=CheckerConfig(oracle_packets=8, oracle_seed=1), job_id="mine",
         )
-        config = _effective_config(mine, None, oracle_packets=40, oracle_seed=9)
+        config = _effective_config(mine, overlay)
         assert config.oracle_packets == 8
         assert config.oracle_seed == 1
 
+    # For every field: an engine value that differs from the default, and a
+    # different explicit job value (booleans have only one non-default).
+    _OVERLAY_VALUES = {
+        "entailment_mode": ("fast", "fast"),
+        "max_iterations": (10, 20),
+        "frontier_order": ("lifo", "lifo"),
+        "cache_dir": ("/engine", "/job"),
+        "oracle_packets": (40, 8),
+        "oracle_seed": (9, 1),
+        "solver": ("dpll", "cdcl"),
+        "clause_db_max": (0, 512),
+    }
+
+    @pytest.mark.parametrize(
+        "name", [item.name for item in dataclasses.fields(CheckerConfig)]
+    )
+    def test_engine_overlay_fills_only_default_fields(self, name):
+        from repro.core.engine import _effective_config
+
+        default = getattr(CheckerConfig(), name)
+        engine_value, job_value = self._OVERLAY_VALUES.get(
+            name, (not default, not default)
+        )
+        overlay = CheckerConfig(**{name: engine_value})
+        bare = EquivalenceJob(
+            tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse",
+            config=CheckerConfig(), job_id="bare",
+        )
+        assert getattr(_effective_config(bare, overlay), name) == engine_value
+        explicit = EquivalenceJob(
+            tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse",
+            config=CheckerConfig(**{name: job_value}), job_id="explicit",
+        )
+        # Neither the engine's non-default value nor its default replaces
+        # an explicit job setting.
+        for engine_config in (overlay, CheckerConfig()):
+            effective = _effective_config(explicit, engine_config)
+            assert getattr(effective, name) == job_value
+
     def test_engine_oracle_cross_checks_every_job(self):
-        engine = EquivalenceEngine(jobs=1, oracle_packets=30, oracle_seed=2)
+        engine = EquivalenceEngine(
+            jobs=1, overlay=CheckerConfig(oracle_packets=30, oracle_seed=2)
+        )
         [result] = engine.run([
             EquivalenceJob(
                 tiny.incremental_bits_checked(), "Start", tiny.big_bits_checked(), "Parse",

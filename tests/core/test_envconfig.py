@@ -3,7 +3,14 @@
 import pytest
 
 from repro import envconfig
+from repro.config import knob_fields
 from repro.envconfig import EnvConfigError
+
+
+def _from_env(field, environ):
+    """The value ``field``'s knob reads from ``environ`` (``None`` = unset)."""
+    knob = {item.name: knob for item, knob in knob_fields()}[field]
+    return knob.parse(environ.get(knob.env), knob.env)
 
 
 class TestParseJobs:
@@ -39,42 +46,42 @@ class TestParseJobs:
 
 class TestCacheDir:
     def test_unset_and_empty_are_none(self):
-        assert envconfig.cache_dir_from_env({}) is None
-        assert envconfig.cache_dir_from_env({"LEAPFROG_CACHE_DIR": ""}) is None
+        assert _from_env("cache_dir", {}) is None
+        assert _from_env("cache_dir", {"LEAPFROG_CACHE_DIR": ""}) is None
 
     def test_value_passed_through(self):
         environ = {"LEAPFROG_CACHE_DIR": "/tmp/cache"}
-        assert envconfig.cache_dir_from_env(environ) == "/tmp/cache"
+        assert _from_env("cache_dir", environ) == "/tmp/cache"
 
 
 class TestIncrementalFlag:
     def test_unset_is_none(self):
-        assert envconfig.incremental_from_env({}) is None
-        assert envconfig.incremental_from_env({"LEAPFROG_INCREMENTAL": ""}) is None
+        assert _from_env("use_incremental", {}) is None
+        assert _from_env("use_incremental", {"LEAPFROG_INCREMENTAL": ""}) is None
 
     @pytest.mark.parametrize("value", ["1", "true", "YES", "on"])
     def test_truthy(self, value):
-        assert envconfig.incremental_from_env({"LEAPFROG_INCREMENTAL": value}) is True
+        assert _from_env("use_incremental", {"LEAPFROG_INCREMENTAL": value}) is True
 
     @pytest.mark.parametrize("value", ["0", "false", "No", "OFF"])
     def test_falsy(self, value):
-        assert envconfig.incremental_from_env({"LEAPFROG_INCREMENTAL": value}) is False
+        assert _from_env("use_incremental", {"LEAPFROG_INCREMENTAL": value}) is False
 
     def test_garbage_rejected(self):
         with pytest.raises(EnvConfigError, match="LEAPFROG_INCREMENTAL"):
-            envconfig.incremental_from_env({"LEAPFROG_INCREMENTAL": "maybe"})
+            _from_env("use_incremental", {"LEAPFROG_INCREMENTAL": "maybe"})
 
 
 class TestOraclePackets:
     def test_unset_is_none(self):
         assert envconfig.parse_oracle_packets(None) is None
         assert envconfig.parse_oracle_packets("  ") is None
-        assert envconfig.oracle_packets_from_env({}) is None
+        assert _from_env("oracle_packets", {}) is None
 
     def test_integer_values(self):
         assert envconfig.parse_oracle_packets("0") == 0
         assert envconfig.parse_oracle_packets(" 128 ") == 128
-        assert envconfig.oracle_packets_from_env({"LEAPFROG_ORACLE": "32"}) == 32
+        assert _from_env("oracle_packets", {"LEAPFROG_ORACLE": "32"}) == 32
 
     def test_boolean_words(self):
         assert envconfig.parse_oracle_packets("on") == envconfig.DEFAULT_ORACLE_PACKETS
@@ -97,16 +104,18 @@ class TestClauseDb:
     def test_unset_is_none(self):
         assert envconfig.parse_clause_db(None) is None
         assert envconfig.parse_clause_db("  ") is None
-        assert envconfig.clause_db_from_env({}) is None
+        assert _from_env("clause_db_max", {}) is None
 
     def test_integer_values(self):
         assert envconfig.parse_clause_db("0") == 0
         assert envconfig.parse_clause_db(" 2000 ") == 2000
-        assert envconfig.clause_db_from_env({"LEAPFROG_CLAUSE_DB": "512"}) == 512
+        assert _from_env("clause_db_max", {"LEAPFROG_CLAUSE_DB": "512"}) == 512
 
     def test_boolean_words(self):
-        assert envconfig.parse_clause_db("on") == envconfig.DEFAULT_CLAUSE_DB_MAX
-        assert envconfig.parse_clause_db("true") == envconfig.DEFAULT_CLAUSE_DB_MAX
+        from repro.smt.sat.solver import DEFAULT_CLAUSE_DB_MAX
+
+        assert envconfig.parse_clause_db("on") == DEFAULT_CLAUSE_DB_MAX
+        assert envconfig.parse_clause_db("true") == DEFAULT_CLAUSE_DB_MAX
         assert envconfig.parse_clause_db("off") == 0
         assert envconfig.parse_clause_db("FALSE") == 0
 
@@ -120,35 +129,28 @@ class TestClauseDb:
         with pytest.raises(EnvConfigError, match="--clause-db-max"):
             envconfig.parse_clause_db("x", source="--clause-db-max")
 
-    def test_default_matches_the_solver_default(self):
-        # envconfig duplicates the solver's default so parsing environment
-        # variables never imports the solver stack; this pins the two.
-        from repro.smt.sat.solver import DEFAULT_CLAUSE_DB_MAX
-
-        assert envconfig.DEFAULT_CLAUSE_DB_MAX == DEFAULT_CLAUSE_DB_MAX
-
 
 class TestSeed:
     def test_unset_is_none(self):
         assert envconfig.parse_seed(None) is None
-        assert envconfig.seed_from_env({}) is None
-        assert envconfig.seed_from_env({"LEAPFROG_SEED": " "}) is None
+        assert _from_env("oracle_seed", {}) is None
+        assert _from_env("oracle_seed", {"LEAPFROG_SEED": " "}) is None
 
     def test_any_integer_accepted(self):
         assert envconfig.parse_seed("0") == 0
         assert envconfig.parse_seed("-7") == -7
-        assert envconfig.seed_from_env({"LEAPFROG_SEED": "20220613"}) == 20220613
+        assert _from_env("oracle_seed", {"LEAPFROG_SEED": "20220613"}) == 20220613
 
     def test_garbage_rejected(self):
         with pytest.raises(EnvConfigError, match="LEAPFROG_SEED"):
-            envconfig.seed_from_env({"LEAPFROG_SEED": "lucky"})
+            _from_env("oracle_seed", {"LEAPFROG_SEED": "lucky"})
 
 
 class TestSolver:
     def test_unset_is_none(self):
         assert envconfig.parse_solver(None) is None
         assert envconfig.parse_solver("  ") is None
-        assert envconfig.solver_from_env({}) is None
+        assert _from_env("solver", {}) is None
 
     @pytest.mark.parametrize("value", ["internal", "cdcl", "dpll", "z3", " CVC5 "])
     def test_known_choices_normalised(self, value):
@@ -160,34 +162,36 @@ class TestSolver:
         with pytest.raises(EnvConfigError, match="LEAPFROG_SOLVER.*'z33'"):
             envconfig.parse_solver("z33")
         with pytest.raises(EnvConfigError, match="z3"):
-            envconfig.solver_from_env({"LEAPFROG_SOLVER": "yices"})
+            _from_env("solver", {"LEAPFROG_SOLVER": "yices"})
 
     def test_source_names_the_flag(self):
         with pytest.raises(EnvConfigError, match="--solver"):
             envconfig.parse_solver("z33", source="--solver")
 
     def test_vocabulary_is_internal_plus_external(self):
+        from repro.smt.backend import EXTERNAL_SOLVER_COMMANDS, INTERNAL_SOLVERS
+
         assert envconfig.SOLVER_CHOICES == (
-            envconfig.INTERNAL_SOLVERS + envconfig.EXTERNAL_SOLVERS
+            INTERNAL_SOLVERS + tuple(EXTERNAL_SOLVER_COMMANDS)
         )
 
 
 class TestPortfolioFlag:
     def test_unset_is_none(self):
-        assert envconfig.portfolio_from_env({}) is None
-        assert envconfig.portfolio_from_env({"LEAPFROG_PORTFOLIO": ""}) is None
+        assert _from_env("portfolio", {}) is None
+        assert _from_env("portfolio", {"LEAPFROG_PORTFOLIO": ""}) is None
 
     @pytest.mark.parametrize("value", ["1", "true", "YES", "on"])
     def test_truthy(self, value):
-        assert envconfig.portfolio_from_env({"LEAPFROG_PORTFOLIO": value}) is True
+        assert _from_env("portfolio", {"LEAPFROG_PORTFOLIO": value}) is True
 
     @pytest.mark.parametrize("value", ["0", "false", "No", "OFF"])
     def test_falsy(self, value):
-        assert envconfig.portfolio_from_env({"LEAPFROG_PORTFOLIO": value}) is False
+        assert _from_env("portfolio", {"LEAPFROG_PORTFOLIO": value}) is False
 
     def test_garbage_rejected(self):
         with pytest.raises(EnvConfigError, match="LEAPFROG_PORTFOLIO"):
-            envconfig.portfolio_from_env({"LEAPFROG_PORTFOLIO": "maybe"})
+            _from_env("portfolio", {"LEAPFROG_PORTFOLIO": "maybe"})
 
 
 class TestCliIntegration:
@@ -249,6 +253,64 @@ class TestCliIntegration:
         captured = capsys.readouterr()
         assert code == 2
         assert "not on PATH" in captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["scenarios", "run", "mini_qinq"],
+        ["synth", "run", "--count", "2"],
+        ["campaign", "run", "--pairs", "2"],
+    ])
+    @pytest.mark.parametrize("variable, value", [
+        ("LEAPFROG_CLAUSE_DB", "abc"),
+        ("LEAPFROG_SOLVER", "z33"),
+    ])
+    def test_checking_commands_reject_malformed_solver_env(
+        self, capsys, monkeypatch, command, variable, value
+    ):
+        from repro.cli import main
+
+        monkeypatch.setenv(variable, value)
+        code = main(command)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert variable in captured.err
+        assert value in captured.err
+
+    def test_scenarios_run_applies_solver_env(self, capsys, monkeypatch):
+        from repro import cli
+
+        seen = []
+        original = cli.check_language_equivalence
+
+        def recording(*args, config=None, **kwargs):
+            seen.append(config)
+            return original(*args, config=config, **kwargs)
+
+        monkeypatch.setattr(cli, "check_language_equivalence", recording)
+        monkeypatch.setenv("LEAPFROG_AIG", "0")
+        monkeypatch.setenv("LEAPFROG_CLAUSE_DB", "512")
+        assert cli.main(["scenarios", "run", "mini_qinq"]) == 0
+        [config] = seen
+        assert config.use_aig is False and config.clause_db_max == 512
+
+    def test_synth_run_applies_solver_env(self, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.core import engine
+
+        seen = []
+        original = engine._effective_config
+
+        def recording(job, overlay):
+            config = original(job, overlay)
+            seen.append(config)
+            return config
+
+        monkeypatch.setattr(engine, "_effective_config", recording)
+        monkeypatch.setenv("LEAPFROG_CLAUSE_DB", "512")
+        assert main(["synth", "run", "--count", "2", "--jobs", "1"]) == 0
+        assert len(seen) == 2
+        for config in seen:
+            assert config.clause_db_max == 512
+            assert config.oracle_packets == 64
 
     def test_cli_rejects_share_clauses_without_cache_dir(self, capsys, monkeypatch):
         from repro.cli import main

@@ -5,12 +5,12 @@ import time
 
 import pytest
 
+from repro.config import CheckerConfig
 from repro.logic.folbv import BEq, BNot, BVConst, BVVar, b_and
 from repro.p4a.bitvec import Bits
 from repro.smt.backend import (
     BackendError,
     BackendMiddleware,
-    EXTERNAL_SOLVER_COMMANDS,
     ExternalBackend,
     InternalBackend,
     PortfolioBackend,
@@ -69,30 +69,27 @@ class TestProtocol:
 class TestMakeBackend:
     def test_portfolio_excludes_external_solver(self):
         with pytest.raises(BackendError, match="cannot be combined"):
-            make_backend(use_cache=False, portfolio=True, solver="z3")
+            make_backend(CheckerConfig(use_query_cache=False, portfolio=True, solver="z3"))
 
     def test_portfolio_allows_internal_spellings(self):
-        backend = make_backend(use_cache=False, portfolio=True, solver="internal")
+        backend = make_backend(
+            CheckerConfig(use_query_cache=False, portfolio=True, solver="internal")
+        )
         assert isinstance(backend, PortfolioBackend)
 
     def test_cache_wraps_portfolio(self):
-        backend = make_backend(use_cache=True, portfolio=True)
+        backend = make_backend(CheckerConfig(use_query_cache=True, portfolio=True))
         assert isinstance(backend, CachingBackend)
         assert backend.capabilities.caching
 
     def test_share_dir_wires_a_channel(self, tmp_path):
-        backend = make_backend(use_cache=False, share_dir=str(tmp_path))
+        backend = make_backend(CheckerConfig(
+            use_query_cache=False, share_clauses=True, cache_dir=str(tmp_path)
+        ))
         try:
             assert backend.internal_solver.clause_channel is not None
         finally:
             backend.close()
-
-
-class TestExternalSolverTable:
-    def test_command_table_matches_envconfig_vocabulary(self):
-        from repro import envconfig
-
-        assert tuple(EXTERNAL_SOLVER_COMMANDS) == envconfig.EXTERNAL_SOLVERS
 
 
 def _fake_solver(tmp_path, body: str):

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dataclasses
+
 from repro import envconfig
+from repro.config import resolve_config
 from repro.logic import folbv
 from repro.logic.folbv import BEq, BVConcatT, BVConst, BVExtract, BVVar, b_and, b_not, b_or
 from repro.p4a.bitvec import Bits
@@ -13,10 +16,10 @@ from repro.smt.backend import (
     PortfolioBackend,
     available_external_solvers,
     BackendError,
-    default_backend,
 )
 from repro.smt.bitblast import BitblastError, Bitblaster, bitblast
 from repro.smt.bvsolver import InternalBVSolver, SatStatus
+from repro.smt.cache import make_backend
 from repro.smt.cegis import solve_exists_forall, substitute
 
 A = BVVar("a", 4)
@@ -134,6 +137,11 @@ class TestCegis:
         result = solve_exists_forall(matrix, {"c": 2})
         assert result.holds is True
         assert result.witness["a"].slice(0, 1) == Bits("11")
+
+
+def default_backend():
+    """The bare solver lane the ``LEAPFROG_*`` environment selects."""
+    return make_backend(dataclasses.replace(resolve_config(), use_query_cache=False))
 
 
 class TestBackends:

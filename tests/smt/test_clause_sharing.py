@@ -185,17 +185,21 @@ class TestSharingRoundTrip:
 
 class TestBackendIntegration:
     def test_make_backend_share_dir_round_trip(self, tmp_path):
+        from repro.config import CheckerConfig
         from repro.smt.cache import make_backend
 
+        shared = CheckerConfig(
+            use_query_cache=False, share_clauses=True, cache_dir=str(tmp_path)
+        )
         combined = b_and(list(PREMISES) + [GOAL])
-        first = make_backend(use_cache=False, share_dir=str(tmp_path))
+        first = make_backend(shared)
         session = first.incremental_session()
         assumptions = [session.activation(p) for p in PREMISES]
         assert session.check(assumptions, goal=GOAL, validate_formula=combined).is_unsat
         assert first.statistics.clauses_exported > 0
         first.close()
 
-        second = make_backend(use_cache=False, share_dir=str(tmp_path))
+        second = make_backend(shared)
         session = second.incremental_session()
         assumptions = [session.activation(p) for p in PREMISES]
         assert session.check(assumptions, goal=GOAL, validate_formula=combined).is_unsat

@@ -12,6 +12,7 @@ from repro.logic.fingerprint import (
 )
 from repro.logic.folbv import BEq, BVConcatT, BVConst, BVExtract, BVVar, b_and, b_not
 from repro.p4a.bitvec import Bits
+from repro.config import CheckerConfig
 from repro.smt.backend import InternalBackend
 from repro.smt.cache import CachingBackend, PersistentQueryCache, make_backend
 from repro.smt.bvsolver import SatStatus
@@ -154,11 +155,14 @@ class TestCachingBackend:
         reopened.close()
 
     def test_make_backend_stacking(self, tmp_path):
-        assert isinstance(make_backend(use_cache=False), InternalBackend)
-        cached = make_backend(use_cache=True)
+        uncached = make_backend(CheckerConfig(use_query_cache=False))
+        assert isinstance(uncached, InternalBackend)
+        cached = make_backend(CheckerConfig(use_query_cache=True))
         assert isinstance(cached, CachingBackend)
         assert cached.persistent_path is None
-        persistent = make_backend(use_cache=True, cache_dir=str(tmp_path))
+        persistent = make_backend(
+            CheckerConfig(use_query_cache=True, cache_dir=str(tmp_path))
+        )
         assert persistent.persistent_path is not None
 
     def test_concurrent_writers_share_one_persistent_backend(self, tmp_path):
@@ -235,8 +239,10 @@ class TestCachingBackend:
             handle.close()
 
     def test_make_backend_opt_out_beats_cache_dir(self, tmp_path):
-        # An explicit use_cache=False wins even when a directory is supplied.
-        backend = make_backend(use_cache=False, cache_dir=str(tmp_path / "c"))
+        # An explicit use_query_cache=False wins even when a directory is supplied.
+        backend = make_backend(
+            CheckerConfig(use_query_cache=False, cache_dir=str(tmp_path / "c"))
+        )
         assert isinstance(backend, InternalBackend)
         import os
 
