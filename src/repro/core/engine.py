@@ -1,10 +1,12 @@
 """A job-based execution engine for equivalence-checking workloads.
 
-The Table 2 reproduction and the ablation study run many independent
-verification problems; nothing couples one automaton pair to another, so the
-engine fans jobs out across worker processes (one :mod:`multiprocessing`
-process per job, a bounded number alive at once) while keeping the interface
-deterministic:
+The Table 2 reproduction, the ablation study and fuzz campaigns run many
+independent verification problems; nothing couples one automaton pair to
+another, so the engine fans jobs out across a pool of worker processes (at
+most ``jobs`` :mod:`multiprocessing` processes, started for one
+:meth:`EquivalenceEngine.run` call, each running job after job so the
+interpreter start-up and package import are paid once per worker, not once
+per job) while keeping the interface deterministic:
 
 * results are returned **in job-submission order**, whatever the completion
   order of the workers;
@@ -13,12 +15,14 @@ deterministic:
   boundary) or an :class:`EquivalenceJob` (an explicit automaton pair —
   automata are plain frozen dataclasses and pickle cleanly);
 * every job can carry a wall-clock **timeout**; in pooled mode an expired
-  job's worker is terminated and the job reported as a ``timeout``
-  :class:`JobResult`, so a hung case can neither poison the run nor starve
-  the queued jobs.  Inline mode cannot interrupt a running job, so it warns
+  job's worker is terminated (and replaced if jobs are still pending) and
+  the job reported as a ``timeout`` :class:`JobResult`, so a hung case can
+  neither poison the run nor starve the queued jobs.  Inline mode cannot
+  interrupt a running job, so it warns
   up front and applies the limit after the fact (an over-budget job is still
   reported as a ``timeout``);
-* failures inside a worker are captured per job as ``error`` results.
+* failures inside a worker are captured per job as ``error`` results; a
+  worker that dies mid-job fails only that job.
 
 With ``jobs=1`` (the default) everything runs inline in the calling process —
 no pool, no pickling — which is the baseline that parallel runs are required
@@ -184,18 +188,27 @@ def _execute_job(job: Job, overlay: Optional[CheckerConfig] = None) -> object:
     raise EngineError(f"unknown job type {type(job).__name__}")
 
 
-def _pooled_worker(conn, job: Job, overlay: Optional[CheckerConfig] = None) -> None:
-    """Child-process entry point: run one job, ship the outcome over a pipe."""
-    try:
-        payload = ("ok", _execute_job(job, overlay))
-    except Exception as exc:  # noqa: BLE001 - report, don't crash the batch
-        payload = ("error", f"{type(exc).__name__}: {exc}")
-    try:
-        conn.send(payload)
-    except Exception as exc:  # unpicklable result
-        conn.send(("error", f"result not transferable: {type(exc).__name__}: {exc}"))
-    finally:
-        conn.close()
+def _pooled_worker(conn, overlay: Optional[CheckerConfig] = None) -> None:
+    """Worker-process loop: run each job received over ``conn``, send back its
+    outcome, and return on a ``None`` sentinel or EOF."""
+    with conn:
+        while True:
+            try:
+                job = conn.recv()
+            except EOFError:
+                return
+            if job is None:
+                return
+            try:
+                payload = ("ok", _execute_job(job, overlay))
+            except Exception as exc:  # noqa: BLE001 - report, don't crash the batch
+                payload = ("error", f"{type(exc).__name__}: {exc}")
+            try:
+                conn.send(payload)
+            except Exception as exc:  # unpicklable result; nothing was sent
+                conn.send(("error", f"result not transferable: {type(exc).__name__}: {exc}"))
+            # Hold nothing of a finished job while waiting for the next one.
+            job = payload = None
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +219,22 @@ def _pooled_worker(conn, job: Job, overlay: Optional[CheckerConfig] = None) -> N
 class EquivalenceEngine:
     """Executes equivalence-checking jobs, sequentially or across processes.
 
-    ``jobs`` is the worker count (1 = inline, no subprocesses).  ``timeout``
-    is the default per-job wall-clock limit in seconds, overridable per job.
-    In pooled mode an expired job's worker is terminated; an inline run has
+    ``jobs`` is the worker count (1 = inline, no subprocesses).  With more,
+    each :meth:`run` call starts a pool of up to ``jobs`` worker processes
+    that run job after job and are stopped before it returns, so nothing
+    outlives the call.  ``timeout`` is the default per-job wall-clock limit
+    in seconds, overridable per job.  In pooled mode an expired job's worker
+    is terminated and replaced; an inline run has
     nowhere to escape to, so the engine warns up front that it can only
     enforce the limit *after the fact* — an inline job that finishes beyond
     its budget is reported as a ``timeout`` result with its value discarded.
-    (The two modes can differ right at the boundary: a pooled worker that
-    delivers its result just past the limit but before the reaper's next
-    poll still counts as ``ok``, whereas inline enforcement is strict.)
-    The pooled clock includes
-    worker startup (process spawn plus package import, a fraction of a
-    second), so limits should comfortably exceed that.
+    (The two modes can differ right at the boundary: a pooled result that
+    arrives just past the limit but before the engine next checks the
+    clocks still counts as ``ok``, whereas inline enforcement is strict.)
+    A pooled job's clock starts when it is sent to a worker, so for a
+    worker's first job it includes worker start-up (process spawn plus
+    package import, a fraction of a second); limits should comfortably
+    exceed that.
 
     ``overlay`` is a :class:`~repro.core.algorithm.CheckerConfig` laid over
     every job's config: each of its fields fills the job's field only where
@@ -407,77 +424,95 @@ class EquivalenceEngine:
         jobs: Sequence[Job],
         on_result: Optional[Callable[[JobResult], None]] = None,
     ) -> List[JobResult]:
-        """One process per job, at most ``self.jobs`` alive at a time.
+        """A pool of at most ``self.jobs`` worker processes for this call.
 
-        A dedicated process (instead of an executor pool) is what makes the
-        per-job timeout real: an expired job is ``terminate()``d, freeing its
-        slot immediately instead of leaving a hung worker to starve the queue.
-        Elapsed times are measured from each job's own start.  ``on_result``
-        streams the contiguous done-prefix in submission order, whatever
-        order the workers finish in.
+        A worker starts only when a job is pending and no worker is idle.  An
+        expired job's worker is ``terminate()``d, which is what makes the
+        per-job timeout real: a hung job frees its slot instead of starving
+        the queue.  A job's clock starts when it is sent to a worker, so it
+        includes worker start-up only for a worker's first job.  A worker
+        that dies mid-job fails only that job.  On return every surviving
+        worker has been sent the ``None`` sentinel and joined.  ``on_result``
+        streams the contiguous done-prefix in submission order.
         """
         context = multiprocessing.get_context(self.mp_context)
         results: List[Optional[JobResult]] = [None] * len(jobs)
         delivered = 0
         pending = deque(enumerate(jobs))
-        running: Dict[int, tuple] = {}  # index -> (process, pipe, started, limit, job)
+        workers: dict = {}  # parent end of a worker's pipe -> its process
+        busy: dict = {}  # pipe -> (index, job, started, limit) of its job
+
+        def retire(conn):
+            process = workers.pop(conn)
+            process.join()
+            conn.close()
+            return process
+
         try:
-            while pending or running:
-                while pending and len(running) < self.jobs:
+            while pending or busy:
+                while pending and len(busy) < self.jobs:
+                    conn = next((c for c in workers if c not in busy), None)
+                    if conn is None:
+                        conn, child = context.Pipe()
+                        process = context.Process(
+                            target=_pooled_worker, args=(child, self.overlay), daemon=True
+                        )
+                        process.start()
+                        child.close()
+                        workers[conn] = process
                     index, job = pending.popleft()
-                    receiver, sender = context.Pipe(duplex=False)
-                    process = context.Process(
-                        target=_pooled_worker,
-                        args=(sender, job, self.overlay),
-                        daemon=True,
-                    )
-                    process.start()
-                    sender.close()
-                    limit = self._job_limit(job)
-                    running[index] = (process, receiver, time.perf_counter(), limit, job)
-                multiprocessing.connection.wait(
-                    [entry[1] for entry in running.values()], timeout=0.05
-                )
-                for index in list(running):
-                    process, receiver, started, limit, job = running[index]
-                    elapsed = time.perf_counter() - started
-                    if receiver.poll():
+                    try:
+                        conn.send(job)
+                    except OSError:  # the idle worker has died: use a new one
+                        workers[conn].terminate()
+                        retire(conn)
+                        pending.appendleft((index, job))
+                        continue
+                    busy[conn] = (index, job, time.perf_counter(), self._job_limit(job))
+                deadlines = [
+                    started + limit for _, _, started, limit in busy.values()
+                    if limit is not None
+                ]
+                wait_for = max(0.0, min(deadlines) - time.perf_counter()) if deadlines else None
+                ready = multiprocessing.connection.wait(list(busy), timeout=wait_for)
+                now = time.perf_counter()
+                for conn in list(busy):
+                    index, job, started, limit = busy[conn]
+                    elapsed = now - started
+                    if conn in ready:
                         try:
-                            status, payload = receiver.recv()
-                        except Exception as exc:  # EOF, truncated pickle, OSError
+                            status, payload = conn.recv()
+                        except (EOFError, OSError):  # the worker died mid-job
+                            code = retire(conn).exitcode
+                            status, payload = "error", f"worker exited with code {code}"
+                        except Exception as exc:  # noqa: BLE001 - unreadable result
                             status = "error"
                             detail = f": {exc}" if str(exc) else ""
                             payload = f"worker result unreadable: {type(exc).__name__}{detail}"
-                        if status == "ok":
-                            results[index] = JobResult(job.label, "ok", value=payload,
-                                                       elapsed=elapsed)
-                        else:
-                            results[index] = JobResult(job.label, "error", error=payload,
-                                                       elapsed=elapsed)
-                    elif not process.is_alive():
-                        results[index] = JobResult(
-                            job.label, "error",
-                            error=f"worker exited with code {process.exitcode}",
-                            elapsed=elapsed,
-                        )
                     elif limit is not None and elapsed > limit:
-                        process.terminate()
-                        results[index] = JobResult(
-                            job.label, "timeout",
-                            error=f"no result within {limit} seconds", elapsed=elapsed,
-                        )
+                        workers[conn].terminate()
+                        retire(conn)
+                        status, payload = "timeout", f"no result within {limit} seconds"
                     else:
                         continue
-                    receiver.close()
-                    process.join()
-                    del running[index]
+                    del busy[conn]
+                    ok = status == "ok"
+                    results[index] = JobResult(
+                        job.label, status, value=payload if ok else None,
+                        error=None if ok else payload, elapsed=elapsed,
+                    )
                 if on_result is not None:
                     while delivered < len(jobs) and results[delivered] is not None:
                         on_result(results[delivered])
                         delivered += 1
         finally:
-            for process, receiver, _, _, _ in running.values():
-                process.terminate()
-                receiver.close()
-                process.join()
+            for conn, process in list(workers.items()):
+                if conn in busy:
+                    process.terminate()
+                else:
+                    try:
+                        conn.send(None)
+                    except OSError:
+                        process.terminate()
+                retire(conn)
         return [result for result in results if result is not None]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence
 
 from ..logic.confrel import (
     LEFT,
@@ -38,6 +38,7 @@ from ..logic.confrel import (
     CVar,
     Formula,
     FTrue,
+    formula_variables,
     map_formula_exprs,
 )
 from ..logic.simplify import (
@@ -76,9 +77,12 @@ class WpError(Exception):
 _fresh_counter = count()
 
 
-def fresh_variable_name(prefix: str = "leap") -> str:
-    """A globally fresh symbolic variable name."""
-    return f"{prefix}_{next(_fresh_counter)}"
+def fresh_variable_name(prefix: str = "leap", avoid: Collection[str] = ()) -> str:
+    """A symbolic variable name fresh in this process and not in ``avoid``."""
+    while True:
+        name = f"{prefix}_{next(_fresh_counter)}"
+        if name not in avoid:
+            return name
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +307,9 @@ def wp_formula(
     templates, the result is trivially true.
     """
     leap = leap_size(left_aut, right_aut, source_pair) if use_leaps else 1
-    name = leap_var_name or fresh_variable_name()
+    # Fresh relative to the target too: a certificate made in another process
+    # may already use any counter-drawn name.
+    name = leap_var_name or fresh_variable_name(avoid=formula_variables(target.pure))
     leap_var = CVar(name, leap)
     left_outcomes = symbolic_leap(left_aut, LEFT, source_pair.left, leap, leap_var)
     right_outcomes = symbolic_leap(right_aut, RIGHT, source_pair.right, leap, leap_var)

@@ -10,6 +10,7 @@ The synthesizer makes that claim testable at scale in both directions:
   that ships its own concrete refutation.
 """
 
+import itertools
 import random
 
 import pytest
@@ -81,3 +82,32 @@ def test_obligation_budget_marks_failure():
     check = verify_certificate(certificate, pair.left, pair.right, max_obligations=0)
     assert not check.ok
     assert any("budget" in failure for failure in check.failures)
+
+
+def test_recheck_leap_names_fresh_relative_to_certificate(monkeypatch):
+    """A certificate made in another process can use any counter-drawn leap
+    name.  Re-checking it from every counter state that makes the checker
+    draw one of those names must neither raise nor fail: campaign pair
+    ``pair20220637`` (leap variables at width 6) once raised
+    ``FolBVError: variable ... used at widths 3 and 6`` here."""
+    from repro.core import wp
+    from repro.logic.confrel import formula_variables
+    from repro.synth.pairs import campaign_config_for_size
+
+    pair = synthesize_pair(
+        20220613 + 24, config=campaign_config_for_size("mini"), verdict=EQUIVALENT
+    )
+    monkeypatch.setattr(wp, "_fresh_counter", itertools.count(97))
+    result = check_language_equivalence(*pair.automata())
+    assert result.proved
+    leaps = [
+        int(name[len("leap_"):])
+        for entry in result.certificate.relation
+        for name in formula_variables(entry.pure)
+        if name.startswith("leap_")
+    ]
+    assert leaps
+    for start in range(min(leaps) - 8, max(leaps) + 1):
+        monkeypatch.setattr(wp, "_fresh_counter", itertools.count(start))
+        check = verify_certificate(result.certificate, pair.left, pair.right)
+        assert check.ok, (start, check.failures)

@@ -1,11 +1,16 @@
 """Tests for the job-based parallel equivalence engine."""
 
 import dataclasses
+import multiprocessing
+import multiprocessing.connection
+import multiprocessing.process
+import os
 import warnings
 
 import pytest
 
 from repro.core.algorithm import CheckerConfig
+from repro.core.certificate import verify_certificate
 from repro.core.engine import (
     CaseJob,
     EngineError,
@@ -168,12 +173,75 @@ class TestInlineTimeouts:
         assert engine.statistics.timed_out == 1
 
 
+def _quick_jobs(count):
+    return [
+        EquivalenceJob(
+            tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse", job_id=f"quick{i}"
+        )
+        for i in range(count)
+    ]
+
+
+def _slow_job():
+    """A job that takes far longer than its 0.01 s limit."""
+    from repro.protocols import mpls
+
+    return EquivalenceJob(
+        mpls.reference_parser(), mpls.REFERENCE_START,
+        mpls.vectorized_parser(), mpls.VECTORIZED_START,
+        job_id="slow", timeout=0.01,
+    )
+
+
+class _DiesOnArrival(CaseJob):
+    """A job whose unpickling ends the worker process that receives it."""
+
+    def __setstate__(self, state):
+        os._exit(7)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every process started in this process, counted by wrapping
+    ``BaseProcess.start`` (as ``perfbench/workloads.py`` counts workers)."""
+    processes = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(process):
+        processes.append(process)
+        return start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return processes
+
+
 class TestParallelEngine:
     def test_parallel_results_identical_to_sequential(self):
         jobs = _tiny_jobs()
         sequential = EquivalenceEngine(jobs=1).run(jobs)
         parallel = EquivalenceEngine(jobs=2).run(jobs)
         assert _comparable(parallel) == _comparable(sequential)
+
+    def test_pooled_results_do_not_depend_on_worker_history(self):
+        """Workers that have already run other jobs give the inline verdicts
+        and witnesses, and certificates that re-check in this process."""
+        from repro.synth import synthesize_pair
+
+        pairs = [synthesize_pair(20220613 + index) for index in range(6)]
+        jobs = _tiny_jobs() + [
+            EquivalenceJob(*pair.automata(), find_counterexamples=True, job_id=pair.name)
+            for pair in pairs
+        ]
+        sequential = EquivalenceEngine(jobs=1).run(jobs)
+        pooled = EquivalenceEngine(jobs=2).run(jobs)
+        assert _comparable(pooled) == _comparable(sequential)
+        certified = 0
+        for job, result in zip(jobs, pooled):
+            if result.value.certificate is not None:
+                check = verify_certificate(result.value.certificate, job.left, job.right)
+                assert check.ok, (job.label, check.failures)
+                certified += 1
+        assert certified >= 3
 
     def test_pooled_on_result_streams_in_submission_order(self):
         """The pooled path delivers the contiguous done-prefix as it forms:
@@ -199,14 +267,8 @@ class TestParallelEngine:
         assert total_hits > 0
 
     def test_timeout_terminates_job_and_run_continues(self):
-        from repro.protocols import mpls
-
         results = EquivalenceEngine(jobs=2).run([
-            EquivalenceJob(
-                mpls.reference_parser(), mpls.REFERENCE_START,
-                mpls.vectorized_parser(), mpls.VECTORIZED_START,
-                job_id="slow", timeout=0.01,
-            ),
+            _slow_job(),
             EquivalenceJob(
                 tiny.incremental_bits(), "Start", tiny.big_bits(), "Parse", job_id="fast"
             ),
@@ -224,6 +286,55 @@ class TestParallelEngine:
             )
         ])
         assert result.ok and result.value.verdict is True
+
+    def test_pool_reuses_workers_across_jobs(self, started):
+        results = EquivalenceEngine(jobs=2).run(_quick_jobs(6))
+        assert all(r.ok and r.value.verdict is True for r in results)
+        assert len(started) == 2
+
+    def test_timed_out_worker_is_replaced(self, started):
+        results = EquivalenceEngine(jobs=2).run([_slow_job()] + _quick_jobs(3))
+        assert [r.status for r in results] == ["timeout", "ok", "ok", "ok"]
+        assert len(started) <= 3
+
+    def test_worker_death_fails_only_its_job(self, started):
+        # Both first workers die receiving their jobs, so the quick jobs
+        # can only have run on replacement workers.
+        jobs = [
+            _DiesOnArrival(case="x", job_id="dies1"),
+            _DiesOnArrival(case="x", job_id="dies2"),
+        ] + _quick_jobs(2)
+        results = EquivalenceEngine(jobs=2).run(jobs)
+        assert [r.status for r in results] == ["error", "error", "ok", "ok"]
+        assert all("worker exited with code 7" in r.error for r in results[:2])
+        assert len(started) in (3, 4)
+        exit_codes = sorted(process.exitcode for process in started)
+        assert exit_codes == [0] * (len(started) - 2) + [7, 7]
+
+    def test_dead_idle_worker_is_replaced(self, started, monkeypatch):
+        # A worker that died while idle fails the send of its next job; the
+        # job must go to a new worker instead of aborting the run.
+        send = multiprocessing.connection.Connection.send
+        broken = []
+
+        def send_breaks_once(conn, obj):
+            if obj is not None and not broken:
+                broken.append(obj)
+                raise BrokenPipeError
+            return send(conn, obj)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send", send_breaks_once)
+        results = EquivalenceEngine(jobs=2).run(_quick_jobs(3))
+        assert all(r.ok for r in results)
+        assert len(started) == 3
+
+    def test_workers_exit_cleanly_after_run(self, started):
+        EquivalenceEngine(jobs=2).run(_quick_jobs(3) + [_slow_job()] + _quick_jobs(6)[3:])
+        assert multiprocessing.active_children() == []
+        exit_codes = sorted(process.exitcode for process in started)
+        # The timed-out worker was terminated; every other one returned.
+        assert exit_codes[0] < 0
+        assert exit_codes[1:] == [0] * (len(started) - 1)
 
     def test_parallel_error_isolation(self):
         results = EquivalenceEngine(jobs=2).run([

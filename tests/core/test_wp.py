@@ -6,7 +6,7 @@ continuation by the leap's packet bits that lands in the target templates
 satisfies the target formula.
 """
 
-from itertools import product
+from itertools import count, product
 
 import pytest
 
@@ -217,3 +217,23 @@ class TestWpSemantics:
         from repro.logic.confrel import formula_variables
 
         assert set(formula_variables(precondition.pure).values()) <= {1}
+
+
+class TestLeapVariableFreshness:
+    def test_leap_variable_avoids_same_width_target_variable(self, monkeypatch):
+        """The target's own ``leap_50`` (same width as the leap) must stay an
+        independent variable: merging the two would weaken ``buffer = leap_50``
+        to a tautology after a leap that fills the buffer."""
+        from repro.core import wp
+        from repro.logic.confrel import formula_variables
+
+        target = GuardedFormula(
+            TemplatePair(Template("q1", 0), Template("q3", 2)),
+            mk_eq(CBuf(RIGHT, 2), CVar("leap_50", 2)),
+        )
+        source = TemplatePair(Template("q1", 0), Template("q3", 0))
+        assert leap_size(LEFT_AUT, RIGHT_AUT, source) == 2
+        monkeypatch.setattr(wp, "_fresh_counter", count(50))
+        precondition = wp_formula(LEFT_AUT, RIGHT_AUT, target, source)
+        assert not isinstance(simplify_formula(precondition.pure), FTrue)
+        assert set(formula_variables(precondition.pure)) == {"leap_50", "leap_51"}
