@@ -162,6 +162,7 @@ class PreBisimulationChecker:
         caching = self.backend.capabilities.caching
         cache_stats = self.backend.cache_statistics if caching else None
         cache_before = cache_stats.as_dict() if cache_stats is not None else None
+        solver_watermark = self.backend.statistics.begin_run()
         tracking_memory = False
         if self.config.track_memory and not tracemalloc.is_tracing():
             tracemalloc.start()
@@ -178,16 +179,10 @@ class PreBisimulationChecker:
                 _, peak = tracemalloc.get_traced_memory()
                 statistics.peak_memory_bytes = peak
             statistics.entailment = self.entailment.statistics.as_dict()
-            solver_stats = self.backend.statistics
-            statistics.solver = {
-                "queries": solver_stats.queries,
-                "total_time": solver_stats.total_time,
-                "max_time": solver_stats.max_time,
-                "p99_time": solver_stats.percentile_time(0.99),
-            }
+            # Solver and cache numbers are deltas against the run's start, so
+            # a backend shared across several checker runs reports per run.
+            statistics.solver = self.backend.statistics.run_summary(solver_watermark)
             if cache_stats is not None:
-                # Delta against the run's start, so a backend shared across
-                # several checker runs still reports per-run cache numbers.
                 after = cache_stats.as_dict()
                 delta = {
                     key: after[key] - cache_before[key]

@@ -158,21 +158,19 @@ class EntailmentChecker:
         # to re-validate refutation models by concrete evaluation (cached
         # models in particular are never validated by the solver itself).
         self._last_query: Optional[folbv.BFormula] = None
-        # Identity-keyed canonicalization memo (incremental path only): the
-        # algorithm re-checks against the same premise *objects* every
-        # iteration, so simplify + canonicalize each one exactly once.  The
-        # key holds a strong reference to the premise, so a recycled id()
-        # can never alias a dead object.
-        self._canonical_memo: Dict[int, tuple] = {}
+        # Canonicalization memo by premise digest (incremental path only):
+        # the algorithm re-checks the same premises every iteration, so
+        # simplify + canonicalize each one exactly once.
+        self._canonical_memo: Dict[str, Formula] = {}
 
     # ------------------------------------------------------------------
 
     def _canonicalize(self, formula: Formula) -> Formula:
-        entry = self._canonical_memo.get(id(formula))
-        if entry is not None and entry[0] is formula:
-            return entry[1]
-        canonical = canonicalize_variables(simplify_formula(formula), prefix="x")
-        self._canonical_memo[id(formula)] = (formula, canonical)
+        key = confrel_fingerprint(formula)
+        canonical = self._canonical_memo.get(key)
+        if canonical is None:
+            canonical = canonicalize_variables(simplify_formula(formula), prefix="x")
+            self._canonical_memo[key] = canonical
         return canonical
 
     def _sync_aig_statistics(self) -> None:
@@ -279,9 +277,9 @@ class EntailmentChecker:
         Algorithm 1 re-checks against the same (growing) premise list on every
         iteration; re-lowering each premise from scratch would make the
         per-query cost linear in the whole relation even when the solver work
-        is shared.  Returning the *same object* also lets the session's
-        fingerprint walk hit its identity memo, so a previously pushed premise
-        costs O(1) per later query.
+        is shared.  Returning the *same object* also hands the session a
+        node whose Merkle digest is already cached, so a previously pushed
+        premise costs one dictionary lookup per later query.
         """
         key = confrel_fingerprint(premise)
         lowered = self._lowered_premises.get(key)

@@ -22,6 +22,7 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from ..p4a.bitvec import Bits
 from ..p4a.semantics import Configuration
+from .folbv import LogicNode
 
 # Side tags.
 LEFT = "<"
@@ -38,7 +39,7 @@ class ConfRelError(Exception):
 # ---------------------------------------------------------------------------
 
 
-class BVExpr:
+class BVExpr(LogicNode):
     """Base class of symbolic bitvector expressions (``be`` in Figure 3)."""
 
     __slots__ = ()
@@ -153,7 +154,7 @@ class CConcat(BVExpr):
 # ---------------------------------------------------------------------------
 
 
-class Formula:
+class Formula(LogicNode):
     """Base class of pure ConfRel formulas (no state or buffer-length atoms;
     those are carried by the enclosing template guard)."""
 

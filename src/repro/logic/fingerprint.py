@@ -1,4 +1,4 @@
-"""Structural fingerprints and hash-consing for logic objects.
+"""Structural fingerprints (Merkle digests) and interning for logic objects.
 
 The entailment queries issued by the pre-bisimulation inner loop are highly
 repetitive: the same goal is re-checked as the relation grows, the done step
@@ -8,179 +8,124 @@ repeated query syntactically is enough to skip the bit-blasting and SAT work
 entirely, because the lowering pipeline is deterministic and the entailment
 checker canonicalizes variable names before compiling.
 
-Two facilities are provided:
+A **fingerprint** is a stable, collision-resistant digest of the structure of
+a FOL(BV) formula/term or a pure ConfRel formula/expression: a plain hex
+string, safe to use as a dictionary key, file name or sqlite primary key, and
+stable across processes and Python versions (unlike ``hash()``, which is
+salted per process for strings).
 
-* **Fingerprints** — a stable, collision-resistant digest of the structure of
-  a FOL(BV) formula/term or a pure ConfRel formula/expression.  Fingerprints
-  are plain hex strings, safe to use as dictionary keys, file names or sqlite
-  primary keys, and stable across processes and Python versions (unlike
-  ``hash()``, which is salted per process for strings).
-* **Hash-consing** — an intern table mapping structurally equal terms and
-  formulas to one canonical object, so that repeated subterms share storage;
-  an opt-in utility for formula builders, deliberately kept off the query
-  cache's hot path (see :data:`GLOBAL_INTERN`).
+Fingerprints form a Merkle tree (Merkle, CRYPTO '87): a node's digest is the
+SHA-256 of its layer tag, :data:`FINGERPRINT_VERSION`, its constructor tag,
+its scalar fields and its children's digests.  Each node computes its digest
+once, on first request, and caches it on itself (as hash-consing does,
+Filliâtre & Conchon 2006); later requests cost one dictionary lookup, and a
+fresh parent over fingerprinted children costs one hash over their 64-digit
+digests.  The cache lives in the node's instance dictionary, outside the
+dataclass fields, so it takes no part in ``==``, ``hash`` or ``repr``, and
+:class:`~repro.logic.folbv.LogicNode` keeps it out of pickles.
 
-Shared subterms are visited once per fingerprint computation: the serializer
-memoizes on object identity within a call, which makes fingerprinting of
-hash-consed (DAG-shaped) formulas linear in the number of distinct nodes.
+Nodes are not interned at construction: :func:`intern_formula` and
+:func:`intern_term` map structurally equal objects to one canonical object on
+request, through a digest-keyed weak table.
 """
 
 from __future__ import annotations
 
 import hashlib
 import weakref
-from typing import Dict, Union
+from typing import Union
 
 from . import confrel, folbv
 
-#: Bumped whenever the serialization format changes, so persistent caches
-#: keyed by old fingerprints are invalidated rather than misread.
-FINGERPRINT_VERSION = "1"
+#: Bumped whenever the digest format changes, so persistent caches keyed by
+#: old fingerprints are invalidated rather than misread.
+FINGERPRINT_VERSION = "2"
 
 FingerprintableBV = Union[folbv.BFormula, folbv.Term]
 FingerprintableConfRel = Union[confrel.Formula, confrel.BVExpr]
 
+_BV_KEY, _CR_KEY = folbv.DIGEST_KEYS
+_BV_TAG = "bv" + FINGERPRINT_VERSION
+_CR_TAG = "cr" + FINGERPRINT_VERSION
+
 
 class FingerprintError(Exception):
-    """Raised when an object cannot be serialized for fingerprinting."""
+    """Raised when an object cannot be fingerprinted."""
 
 
-# ---------------------------------------------------------------------------
-# Canonical serialization
-# ---------------------------------------------------------------------------
-
-
-def _folbv_key(obj: FingerprintableBV, memo: Dict[int, str]) -> str:
-    cached = memo.get(id(obj))
-    if cached is not None:
-        return cached
-    if isinstance(obj, folbv.BVVar):
-        key = f"(v {obj.name} {obj.var_width})"
-    elif isinstance(obj, folbv.BVConst):
-        key = f"(c {obj.value.to_bitstring()})"
-    elif isinstance(obj, folbv.BVExtract):
-        key = f"(x {_folbv_key(obj.term, memo)} {obj.lo} {obj.hi})"
-    elif isinstance(obj, folbv.BVConcatT):
-        key = f"(++ {_folbv_key(obj.left, memo)} {_folbv_key(obj.right, memo)})"
-    elif isinstance(obj, folbv.BTrue):
-        key = "t"
-    elif isinstance(obj, folbv.BFalse):
-        key = "f"
-    elif isinstance(obj, folbv.BEq):
-        key = f"(= {_folbv_key(obj.left, memo)} {_folbv_key(obj.right, memo)})"
-    elif isinstance(obj, folbv.BNot):
-        key = f"(! {_folbv_key(obj.operand, memo)})"
-    elif isinstance(obj, folbv.BAnd):
-        key = "(& " + " ".join(_folbv_key(op, memo) for op in obj.operands) + ")"
-    elif isinstance(obj, folbv.BOr):
-        key = "(| " + " ".join(_folbv_key(op, memo) for op in obj.operands) + ")"
-    elif isinstance(obj, folbv.BImplies):
-        key = f"(> {_folbv_key(obj.premise, memo)} {_folbv_key(obj.conclusion, memo)})"
-    else:
-        raise FingerprintError(f"cannot fingerprint FOL(BV) object {obj!r}")
-    memo[id(obj)] = key
-    return key
-
-
-def _confrel_key(obj: FingerprintableConfRel, memo: Dict[int, str]) -> str:
-    cached = memo.get(id(obj))
-    if cached is not None:
-        return cached
-    if isinstance(obj, confrel.CLit):
-        key = f"(c {obj.value.to_bitstring()})"
-    elif isinstance(obj, confrel.CBuf):
-        key = f"(b {obj.side} {obj.buf_width})"
-    elif isinstance(obj, confrel.CHdr):
-        key = f"(h {obj.side} {obj.name} {obj.hdr_width})"
-    elif isinstance(obj, confrel.CVar):
-        key = f"(v {obj.name} {obj.var_width})"
-    elif isinstance(obj, confrel.CSlice):
-        key = f"(x {_confrel_key(obj.expr, memo)} {obj.lo} {obj.hi})"
-    elif isinstance(obj, confrel.CConcat):
-        key = f"(++ {_confrel_key(obj.left, memo)} {_confrel_key(obj.right, memo)})"
-    elif isinstance(obj, confrel.FTrue):
-        key = "t"
-    elif isinstance(obj, confrel.FFalse):
-        key = "f"
-    elif isinstance(obj, confrel.FEq):
-        key = f"(= {_confrel_key(obj.left, memo)} {_confrel_key(obj.right, memo)})"
-    elif isinstance(obj, confrel.FNot):
-        key = f"(! {_confrel_key(obj.operand, memo)})"
-    elif isinstance(obj, confrel.FAnd):
-        key = "(& " + " ".join(_confrel_key(op, memo) for op in obj.operands) + ")"
-    elif isinstance(obj, confrel.FOr):
-        key = "(| " + " ".join(_confrel_key(op, memo) for op in obj.operands) + ")"
-    elif isinstance(obj, confrel.FImpl):
-        key = f"(> {_confrel_key(obj.premise, memo)} {_confrel_key(obj.conclusion, memo)})"
-    else:
-        raise FingerprintError(f"cannot fingerprint ConfRel object {obj!r}")
-    memo[id(obj)] = key
-    return key
-
-
-# ---------------------------------------------------------------------------
-# Fingerprints
-# ---------------------------------------------------------------------------
-
-class _IdentityMemo:
-    """An ``id()``-keyed digest memo with weakref-based self-cleaning.
-
-    Keying by identity keeps lookups O(1): a dictionary keyed by the objects
-    themselves would re-hash the whole tree on every access (frozen-dataclass
-    hashing is recursive).  Each entry holds a weak reference whose callback
-    evicts the entry when the object dies, so a recycled ``id()`` can never
-    alias a stale digest.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[int, tuple] = {}
-
-    def get(self, obj: object) -> Union[str, None]:
-        entry = self._entries.get(id(obj))
-        if entry is None:
-            return None
-        ref, digest = entry
-        return digest if ref() is obj else None
-
-    def set(self, obj: object, digest: str) -> None:
-        key = id(obj)
-
-        def _evict(_ref, key=key, entries=self._entries):
-            entries.pop(key, None)
-
-        try:
-            ref = weakref.ref(obj, _evict)
-        except TypeError:  # non-weakrefable object: skip memoization
-            return
-        self._entries[key] = (ref, digest)
-
-
-_FOLBV_DIGESTS = _IdentityMemo()
-_CONFREL_DIGESTS = _IdentityMemo()
-
-
-def _digest(kind: str, key: str) -> str:
-    payload = f"{kind}{FINGERPRINT_VERSION}:{key}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+def _merkle(tag: str, body: str) -> str:
+    return hashlib.sha256(f"{tag} {body}".encode("utf-8")).hexdigest()
 
 
 def folbv_fingerprint(obj: FingerprintableBV) -> str:
     """Stable structural digest of a FOL(BV) formula or term."""
-    cached = _FOLBV_DIGESTS.get(obj)
-    if cached is not None:
-        return cached
-    digest = _digest("bv", _folbv_key(obj, {}))
-    _FOLBV_DIGESTS.set(obj, digest)
+    try:
+        return obj.__dict__[_BV_KEY]
+    except (AttributeError, KeyError):
+        pass
+    if isinstance(obj, folbv.BVVar):
+        body = f"v {obj.name} {obj.var_width}"
+    elif isinstance(obj, folbv.BVConst):
+        body = f"c {obj.value.to_bitstring()}"
+    elif isinstance(obj, folbv.BVExtract):
+        body = f"x {obj.lo} {obj.hi} {folbv_fingerprint(obj.term)}"
+    elif isinstance(obj, folbv.BVConcatT):
+        body = f"++ {folbv_fingerprint(obj.left)} {folbv_fingerprint(obj.right)}"
+    elif isinstance(obj, folbv.BTrue):
+        body = "t"
+    elif isinstance(obj, folbv.BFalse):
+        body = "f"
+    elif isinstance(obj, folbv.BEq):
+        body = f"= {folbv_fingerprint(obj.left)} {folbv_fingerprint(obj.right)}"
+    elif isinstance(obj, folbv.BNot):
+        body = f"! {folbv_fingerprint(obj.operand)}"
+    elif isinstance(obj, folbv.BAnd):
+        body = "& " + " ".join([folbv_fingerprint(op) for op in obj.operands])
+    elif isinstance(obj, folbv.BOr):
+        body = "| " + " ".join([folbv_fingerprint(op) for op in obj.operands])
+    elif isinstance(obj, folbv.BImplies):
+        body = f"> {folbv_fingerprint(obj.premise)} {folbv_fingerprint(obj.conclusion)}"
+    else:
+        raise FingerprintError(f"cannot fingerprint FOL(BV) object {obj!r}")
+    digest = obj.__dict__[_BV_KEY] = _merkle(_BV_TAG, body)
     return digest
 
 
 def confrel_fingerprint(obj: FingerprintableConfRel) -> str:
     """Stable structural digest of a pure ConfRel formula or expression."""
-    cached = _CONFREL_DIGESTS.get(obj)
-    if cached is not None:
-        return cached
-    digest = _digest("cr", _confrel_key(obj, {}))
-    _CONFREL_DIGESTS.set(obj, digest)
+    try:
+        return obj.__dict__[_CR_KEY]
+    except (AttributeError, KeyError):
+        pass
+    if isinstance(obj, confrel.CLit):
+        body = f"c {obj.value.to_bitstring()}"
+    elif isinstance(obj, confrel.CBuf):
+        body = f"b {obj.side} {obj.buf_width}"
+    elif isinstance(obj, confrel.CHdr):
+        body = f"h {obj.side} {obj.name} {obj.hdr_width}"
+    elif isinstance(obj, confrel.CVar):
+        body = f"v {obj.name} {obj.var_width}"
+    elif isinstance(obj, confrel.CSlice):
+        body = f"x {obj.lo} {obj.hi} {confrel_fingerprint(obj.expr)}"
+    elif isinstance(obj, confrel.CConcat):
+        body = f"++ {confrel_fingerprint(obj.left)} {confrel_fingerprint(obj.right)}"
+    elif isinstance(obj, confrel.FTrue):
+        body = "t"
+    elif isinstance(obj, confrel.FFalse):
+        body = "f"
+    elif isinstance(obj, confrel.FEq):
+        body = f"= {confrel_fingerprint(obj.left)} {confrel_fingerprint(obj.right)}"
+    elif isinstance(obj, confrel.FNot):
+        body = f"! {confrel_fingerprint(obj.operand)}"
+    elif isinstance(obj, confrel.FAnd):
+        body = "& " + " ".join([confrel_fingerprint(op) for op in obj.operands])
+    elif isinstance(obj, confrel.FOr):
+        body = "| " + " ".join([confrel_fingerprint(op) for op in obj.operands])
+    elif isinstance(obj, confrel.FImpl):
+        body = f"> {confrel_fingerprint(obj.premise)} {confrel_fingerprint(obj.conclusion)}"
+    else:
+        raise FingerprintError(f"cannot fingerprint ConfRel object {obj!r}")
+    digest = obj.__dict__[_CR_KEY] = _merkle(_CR_TAG, body)
     return digest
 
 
@@ -193,78 +138,16 @@ def fingerprint(obj: Union[FingerprintableBV, FingerprintableConfRel]) -> str:
     raise FingerprintError(f"cannot fingerprint {obj!r}")
 
 
-# ---------------------------------------------------------------------------
-# Hash-consing
-# ---------------------------------------------------------------------------
-
-
-class InternTable:
-    """An intern table mapping structural keys to canonical objects.
-
-    Interning rebuilds a formula bottom-up, replacing every node whose
-    structure has been seen before by the first object that exhibited it.
-    Interned formulas share subterm storage (a DAG instead of a tree), which
-    both reduces memory and speeds up later fingerprint computations via the
-    identity memo in the serializers.
-    """
-
-    def __init__(self) -> None:
-        self._table: "weakref.WeakValueDictionary[str, object]" = weakref.WeakValueDictionary()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def _canon(self, key: str, obj: object) -> object:
-        existing = self._table.get(key)
-        if existing is not None:
-            self.hits += 1
-            return existing
-        self.misses += 1
-        self._table[key] = obj
-        return obj
-
-    def intern_term(self, term: folbv.Term) -> folbv.Term:
-        if isinstance(term, folbv.BVExtract):
-            inner = self.intern_term(term.term)
-            if inner is not term.term:
-                term = folbv.BVExtract(inner, term.lo, term.hi)
-        elif isinstance(term, folbv.BVConcatT):
-            left, right = self.intern_term(term.left), self.intern_term(term.right)
-            if left is not term.left or right is not term.right:
-                term = folbv.BVConcatT(left, right)
-        return self._canon(_folbv_key(term, {}), term)  # type: ignore[return-value]
-
-    def intern_formula(self, formula: folbv.BFormula) -> folbv.BFormula:
-        if isinstance(formula, folbv.BEq):
-            formula = folbv.BEq(self.intern_term(formula.left), self.intern_term(formula.right))
-        elif isinstance(formula, folbv.BNot):
-            formula = folbv.BNot(self.intern_formula(formula.operand))
-        elif isinstance(formula, folbv.BAnd):
-            formula = folbv.BAnd(tuple(self.intern_formula(op) for op in formula.operands))
-        elif isinstance(formula, folbv.BOr):
-            formula = folbv.BOr(tuple(self.intern_formula(op) for op in formula.operands))
-        elif isinstance(formula, folbv.BImplies):
-            formula = folbv.BImplies(
-                self.intern_formula(formula.premise), self.intern_formula(formula.conclusion)
-            )
-        return self._canon(_folbv_key(formula, {}), formula)  # type: ignore[return-value]
-
-
-#: Process-wide intern table for callers that build formulas incrementally
-#: and want subterm sharing.  The query cache does NOT intern: its per-query
-#: fingerprint walk is linear, whereas per-node canonicalization is quadratic
-#: in formula depth, so interning on the hot path would cost more than the
-#: lookup it feeds.
-GLOBAL_INTERN = InternTable()
+#: Canonical FOL(BV) objects by digest; an entry lives as long as its object.
+_INTERNED: "weakref.WeakValueDictionary[str, object]" = weakref.WeakValueDictionary()
 
 
 def intern_formula(formula: folbv.BFormula) -> folbv.BFormula:
-    """Hash-cons a FOL(BV) formula through the process-wide table."""
-    return GLOBAL_INTERN.intern_formula(formula)
+    """The canonical object structurally equal to ``formula`` (the first one
+    interned that is still alive)."""
+    return _INTERNED.setdefault(folbv_fingerprint(formula), formula)
 
 
 def intern_term(term: folbv.Term) -> folbv.Term:
-    """Hash-cons a FOL(BV) term through the process-wide table."""
-    return GLOBAL_INTERN.intern_term(term)
+    """The canonical object structurally equal to ``term``."""
+    return _INTERNED.setdefault(folbv_fingerprint(term), term)

@@ -22,12 +22,35 @@ class FolBVError(Exception):
     """Raised on ill-formed FOL(BV) terms or formulas."""
 
 
+#: Instance-dictionary keys under which :mod:`repro.logic.fingerprint` caches
+#: a node's Merkle digest: one per layer (FOL(BV), ConfRel).
+DIGEST_KEYS = ("_bv_digest", "_cr_digest")
+
+
+class LogicNode:
+    """Base of every FOL(BV) and ConfRel node class.
+
+    A node's cached digest is derived data: the dataclass fields alone define
+    ``==``, ``hash`` and ``repr``, and these pickle hooks drop the digest in
+    both directions, so a copy received from another process (or version)
+    always recomputes it rather than trusting the sender's.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {k: v for k, v in self.__dict__.items() if k not in DIGEST_KEYS}
+
+    def __setstate__(self, state: Mapping[str, object]) -> None:
+        self.__dict__.update((k, v) for k, v in state.items() if k not in DIGEST_KEYS)
+
+
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
 
-class Term:
+class Term(LogicNode):
     __slots__ = ()
 
     @property
@@ -100,7 +123,7 @@ class BVConcatT(Term):
 # ---------------------------------------------------------------------------
 
 
-class BFormula:
+class BFormula(LogicNode):
     __slots__ = ()
 
 

@@ -266,7 +266,10 @@ class FolbvToAig:
     :class:`~repro.p4a.bitvec.Bits`), formulas to a single reference.  Both
     are memoized by structural fingerprint (:mod:`repro.logic.fingerprint`),
     so formulas rebuilt by later queries — equal in structure but not
-    identity — share their whole lowered cone.  Variables key on
+    identity — share their whole lowered cone.  Fingerprints are Merkle
+    digests cached on the nodes: the root's request digests every node of
+    a new subtree once, and the recursion's requests for its children are
+    dictionary lookups.  Variables key on
     ``(name, width)``: distinct queries may reuse a canonical name at
     different widths and must never alias.
     """

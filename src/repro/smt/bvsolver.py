@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..logic import folbv
 from ..logic.folbv import BFormula
@@ -62,6 +62,8 @@ class SolverStatistics:
     total_time: float = 0.0
     max_time: float = 0.0
     total_clauses: int = 0
+    #: Latencies of the queries since the last :meth:`begin_run` (all of
+    #: them for a solver that never starts a run).
     query_times: List[float] = field(default_factory=list)
     #: AIG pipeline effectiveness (cumulative over all queries): graph nodes
     #: built, CNF clauses the graph rewrites avoided (an estimate), and
@@ -109,12 +111,39 @@ class SolverStatistics:
         self.query_times.append(result.elapsed)
 
     def percentile_time(self, fraction: float) -> float:
-        """Time below which ``fraction`` of the queries completed (e.g. 0.99)."""
-        if not self.query_times:
-            return 0.0
-        ordered = sorted(self.query_times)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
+        """Time below which ``fraction`` of the queries since the last
+        :meth:`begin_run` completed (e.g. 0.99)."""
+        return _percentile(self.query_times, fraction)
+
+    def begin_run(self) -> Tuple[int, float]:
+        """Start one run's share of a backend that may serve many runs.
+
+        Drops the latencies of earlier runs, so a long-lived backend (a warm
+        service worker's) keeps only one run's worth, and returns the
+        watermark that :meth:`run_summary` measures the run against.
+        """
+        self.query_times.clear()
+        return self.queries, self.total_time
+
+    def run_summary(self, watermark: Tuple[int, float]) -> Dict[str, float]:
+        """``queries``, ``total_time``, ``max_time`` and ``p99_time`` of the
+        queries recorded since :meth:`begin_run` returned ``watermark``."""
+        queries, total_time = watermark
+        count = self.queries - queries
+        times = self.query_times[-count:] if count > 0 else []
+        return {
+            "queries": count,
+            "total_time": self.total_time - total_time,
+            "max_time": max(times, default=0.0),
+            "p99_time": _percentile(times, 0.99),
+        }
+
+
+def _percentile(times: List[float], fraction: float) -> float:
+    if not times:
+        return 0.0
+    ordered = sorted(times)
+    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
 
 
 class InternalBVSolver:

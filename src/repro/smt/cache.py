@@ -225,11 +225,9 @@ class CachingBackend(BackendMiddleware):
         are updated either way.
         """
         start = time.perf_counter()
-        # One linear serialization walk per query; interning here would cost
-        # more than the lookup it guards (per-node canonicalization is
-        # quadratic in formula depth).  (A repeated walk on the same object —
-        # e.g. lookup then store around a miss — is absorbed by the
-        # fingerprint module's identity memo.)
+        # Merkle digests are cached on the nodes: a fresh query hashes only
+        # its fresh nodes, and a repeat on the same object (lookup then store
+        # around a miss) is one dictionary lookup.
         if fingerprint is None:
             fingerprint = folbv_fingerprint(formula)
         cached = self._memory.get(fingerprint)

@@ -20,6 +20,7 @@ from repro.logic.confrel import LEFT, RIGHT, CBuf, CHdr, CVar, FFalse, TRUE
 from repro.logic.simplify import mk_eq
 from repro.p4a.semantics import accepts
 from repro.protocols import mpls, tiny
+from repro.smt.backend import InternalBackend
 
 from ..helpers import fixed_length_automaton
 
@@ -100,6 +101,25 @@ class TestCheckerConfiguration:
         assert stats.solver["queries"] >= 0
         assert stats.runtime_seconds > 0
         assert isinstance(stats.as_dict(), dict)
+
+    def test_solver_statistics_are_per_run_on_a_shared_backend(self):
+        backend = InternalBackend()
+        results, latencies = [], []
+        for _ in range(2):
+            results.append(check_language_equivalence(
+                tiny.incremental_bits_checked(), "Start", tiny.big_bits_checked(), "Parse",
+                backend=backend, find_counterexamples=False,
+            ))
+            latencies.append(list(backend.statistics.query_times))
+        first, second = (result.statistics.solver for result in results)
+        assert first["queries"] == second["queries"] > 0
+        assert first["queries"] + second["queries"] == backend.statistics.queries
+        for solver, times in zip((first, second), latencies):
+            ordered = sorted(times)
+            assert solver["queries"] == len(times)
+            assert solver["p99_time"] == ordered[min(len(times) - 1, int(0.99 * len(times)))]
+            assert solver["max_time"] == ordered[-1]
+            assert solver["total_time"] == pytest.approx(sum(times))
 
 
 class TestEquivalenceVerdicts:

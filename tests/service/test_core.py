@@ -184,6 +184,22 @@ class TestDedupe:
             core.shutdown()
 
 
+class TestWarmWorkerStatistics:
+    def test_query_latencies_stay_bounded_over_many_requests(self):
+        # A zero memory-cache cap makes every request reach the solver.
+        config = ServiceConfig(workers=0, memory_cache_cap=0)
+        left, right = tiny.incremental_bits_checked(), tiny.big_bits_checked()
+        with InProcessClient(config) as client:
+            client.check(left, "Start", right, "Parse")
+            statistics = client.core._inline_state.backend.statistics
+            per_request = statistics.queries
+            assert per_request > 0
+            for _ in range(49):
+                client.check(left, "Start", right, "Parse")
+                assert len(statistics.query_times) <= per_request
+            assert statistics.queries == 50 * per_request
+
+
 class TestBackpressure:
     def test_overloaded_rejection_carries_retry_after(self):
         core = ServiceCore(ServiceConfig(workers=0, max_pending=1))

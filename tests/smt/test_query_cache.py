@@ -1,14 +1,19 @@
 """Tests for structural fingerprints and the fingerprint-keyed query cache."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.logic import folbv
-from repro.logic.confrel import LEFT, RIGHT, CHdr, CVar, FAnd, FEq
+from repro.logic.confrel import LEFT, RIGHT, CBuf, CHdr, CSlice, CVar, FAnd, FEq
 from repro.logic.fingerprint import (
-    InternTable,
     confrel_fingerprint,
     folbv_fingerprint,
     intern_formula,
+    intern_term,
 )
 from repro.logic.folbv import BEq, BVConcatT, BVConst, BVExtract, BVVar, b_and, b_not
 from repro.p4a.bitvec import Bits
@@ -26,6 +31,19 @@ def _sat_formula():
 def _unsat_formula():
     x = BVVar("x", 4)
     return b_and([BEq(x, BVConst(Bits("0000"))), BEq(x, BVConst(Bits("1111")))])
+
+
+def _pinned_folbv():
+    return BEq(BVVar("x", 2), BVConst(Bits("01")))
+
+
+def _pinned_confrel():
+    return FEq(CHdr(LEFT, "udp", 8), CSlice(CBuf(RIGHT, 16), 0, 7))
+
+
+# The version-2 digests of the two formulas above.
+_PINNED_FOLBV_DIGEST = "f93f56e4386440e1c7b12c35887deb725c4d2ee1f81c01ef856e55b8299f4ec5"
+_PINNED_CONFREL_DIGEST = "a8b7e6c676a47b17de0a5e8d921fa3640d2f27bebd3652ced90a99e6f375125c"
 
 
 class TestFingerprints:
@@ -55,20 +73,67 @@ class TestFingerprints:
         assert confrel_fingerprint(FAnd((eq,))) != confrel_fingerprint(eq)
 
     def test_fingerprints_stable_across_processes(self):
-        # A hardcoded digest guards against accidental format drift, which
-        # would silently invalidate every persistent cache.
-        digest = folbv_fingerprint(BEq(BVVar("x", 2), BVConst(Bits("01"))))
-        assert digest == folbv_fingerprint(BEq(BVVar("x", 2), BVConst(Bits("01"))))
-        assert len(digest) == 64 and int(digest, 16) >= 0
+        # Hardcoded digests guard against accidental format drift, which
+        # would silently invalidate every persistent cache: changing them
+        # means bumping FINGERPRINT_VERSION.
+        assert folbv_fingerprint(_pinned_folbv()) == _PINNED_FOLBV_DIGEST
+        assert confrel_fingerprint(_pinned_confrel()) == _PINNED_CONFREL_DIGEST
+        # A process with another string-hash salt computes the same digests.
+        script = (
+            "from tests.smt.test_query_cache import _pinned_confrel, _pinned_folbv\n"
+            "from repro.logic.fingerprint import confrel_fingerprint, folbv_fingerprint\n"
+            "print(folbv_fingerprint(_pinned_folbv()))\n"
+            "print(confrel_fingerprint(_pinned_confrel()))\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]))
+        output = subprocess.run(
+            [sys.executable, "-c", script], env=env, cwd=root,
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert output == [_PINNED_FOLBV_DIGEST, _PINNED_CONFREL_DIGEST]
+
+
+class TestDigestsStayInProcess:
+    """A cached digest is derived data: it never travels through a pickle."""
+
+    def test_pickle_round_trip_drops_the_cached_digest(self):
+        formula = b_and([_sat_formula(), b_not(_unsat_formula())])
+        confrel = FAnd((_pinned_confrel(), FEq(CVar("x", 8), CHdr(RIGHT, "udp", 8))))
+        digests = (folbv_fingerprint(formula), confrel_fingerprint(confrel))
+        assert folbv.DIGEST_KEYS[0] in vars(formula)
+        assert folbv.DIGEST_KEYS[1] in vars(confrel)
+        formula_copy, confrel_copy = pickle.loads(pickle.dumps((formula, confrel)))
+        for copy in (formula_copy, formula_copy.operands[0], confrel_copy,
+                     confrel_copy.operands[0].left):
+            assert not set(folbv.DIGEST_KEYS) & set(vars(copy))
+        assert formula_copy == formula and confrel_copy == confrel
+        assert (folbv_fingerprint(formula_copy), confrel_fingerprint(confrel_copy)) == digests
+
+    def test_forged_digest_in_a_pickle_is_ignored(self, monkeypatch):
+        forged = "0" * 64
+        sender = BVVar("x", 2)
+        sender.__dict__[folbv.DIGEST_KEYS[0]] = forged
+        # A sender whose pickles keep every instance attribute (another
+        # version of the code, or a hand-made blob).
+        monkeypatch.setattr(BVVar, "__getstate__", lambda self: dict(self.__dict__))
+        payload = pickle.dumps(sender)
+        monkeypatch.undo()
+        node = pickle.loads(payload)
+        assert type(node) is BVVar and node == BVVar("x", 2)
+        assert folbv_fingerprint(node) == folbv_fingerprint(BVVar("x", 2)) != forged
 
 
 class TestInterning:
     def test_interning_shares_structure(self):
-        table = InternTable()
-        first = table.intern_formula(_sat_formula())
-        second = table.intern_formula(_sat_formula())
+        first = intern_formula(_sat_formula())
+        second = intern_formula(_sat_formula())
         assert first is second
-        assert table.hits > 0
+        term = intern_term(BVExtract(BVVar("x", 8), 0, 3))
+        assert intern_term(BVExtract(BVVar("x", 8), 0, 3)) is term
+        # A term and a formula never share an entry.
+        assert intern_term(first.left) is not first
 
     def test_interned_formula_evaluates_identically(self):
         formula = b_and([
